@@ -3,8 +3,7 @@ cut-problem reducer.
 
 Exit codes: 0 on success, 1 on parameter errors (bad specs, bad files,
 bad flag values), 2 when a search budget was exhausted before an answer
-was reached.  Sweep subcommands honor the BALANCEABLE_WORKERS environment
-variable for a process pool; output order never depends on worker count.
+was reached.
 """
 
 from __future__ import annotations
@@ -14,13 +13,12 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .conditions import condition_reports
 from .families import graph_from_spec, parse_family_spec
 from .graphs import Graph, parse_edge_list
-from .oracle import DEFAULT_BUDGET, BudgetExceeded, Verdict, decide_balanceable
+from .oracle import BudgetExceeded, Verdict, decide_balanceable
 from .ramsey import bal_number
 from .reduction import CutInstance, format_cut_instance, reduce_maxcut_to_exactcut
 from .witnesses import (
@@ -36,7 +34,6 @@ __all__ = ["Report", "report_to_json", "report_from_json", "run_cli", "main"]
 EXIT_OK = 0
 EXIT_PARAMS = 1
 EXIT_BUDGET = 2
-WORKERS_ENV = "BALANCEABLE_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -178,8 +175,7 @@ def _cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def _family_row(pair: tuple[int, int]) -> dict:
-    k, ell = pair
+def _family_row(k: int, ell: int) -> dict:
     result = circulant_witness(k, ell)
     w = result.witness
     return {
@@ -192,8 +188,7 @@ def _family_row(pair: tuple[int, int]) -> dict:
     }
 
 
-def _rect_row(pair: tuple[int, int]) -> dict:
-    k, ell = pair
+def _rect_row(k: int, ell: int) -> dict:
     result = rect_grid_witness(k, ell)
     w = result.witness
     return {
@@ -206,9 +201,10 @@ def _rect_row(pair: tuple[int, int]) -> dict:
 
 
 def _tri_row(h: int) -> dict:
-    if h % 8 in (2, 3, 6, 7):
+    try:
+        result = tri_grid_witness(h)
+    except ValueError:  # odd edge count
         return {"h": h, "status": "OddEdges", "case": None, "half_edges": None}
-    result = tri_grid_witness(h)
     w = result.witness
     return {
         "h": h,
@@ -218,8 +214,7 @@ def _tri_row(h: int) -> dict:
     }
 
 
-def _verify_row(task: tuple[int, int, int]) -> dict:
-    k, ell, budget = task
+def _verify_row(k: int, ell: int, budget: int) -> dict:
     construction = circulant_witness(k, ell)
     oracle = decide_balanceable(construction.graph, budget=budget)
     return {
@@ -228,14 +223,6 @@ def _verify_row(task: tuple[int, int, int]) -> dict:
         "construction": construction.verdict.status,
         "oracle": oracle.status,
     }
-
-
-def _pool_map(worker, tasks: list) -> list:
-    count = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    if count > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=count) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(task) for task in tasks]
 
 
 def _print_rows(args, rows: list[dict], columns: list[str]) -> None:
@@ -254,8 +241,7 @@ def _print_rows(args, rows: list[dict], columns: list[str]) -> None:
 def _cmd_family_table(args) -> int:
     if args.kmax < 4:
         raise ValueError("kmax must be at least 4")
-    pairs = [(k, ell) for k in range(4, args.kmax + 1) for ell in range(2, k // 2 + 1)]
-    rows = _pool_map(_family_row, pairs)
+    rows = [_family_row(k, ell) for k in range(4, args.kmax + 1) for ell in range(2, k // 2 + 1)]
     _print_rows(args, rows, ["k", "ell", "status", "case", "cut_edges", "induced_edges"])
     return EXIT_OK
 
@@ -264,18 +250,16 @@ def _cmd_grid_table(args) -> int:
     if args.rect is not None:
         if args.rect < 2:
             raise ValueError("kmax must be at least 2")
-        pairs = [
-            (k, ell)
+        rows = [
+            _rect_row(k, ell)
             for k in range(2, args.rect + 1)
-            for ell in range(k, args.rect + 1)
-            if (k - ell) % 2 == 0
+            for ell in range(k, args.rect + 1, 2)
         ]
-        rows = _pool_map(_rect_row, pairs)
         _print_rows(args, rows, ["k", "ell", "status", "case", "half_edges"])
     else:
         if args.tri < 1:
             raise ValueError("hmax must be at least 1")
-        rows = _pool_map(_tri_row, list(range(1, args.tri + 1)))
+        rows = [_tri_row(h) for h in range(1, args.tri + 1)]
         _print_rows(args, rows, ["h", "status", "case", "half_edges"])
     return EXIT_OK
 
@@ -283,12 +267,11 @@ def _cmd_grid_table(args) -> int:
 def _cmd_verify(args) -> int:
     if args.kmax < 4:
         raise ValueError("kmax must be at least 4")
-    tasks = [
-        (k, ell, args.budget)
+    rows = [
+        _verify_row(k, ell, args.budget)
         for k in range(4, args.kmax + 1)
         for ell in range(2, k // 2 + 1)
     ]
-    rows = _pool_map(_verify_row, tasks)
     undecided = [r for r in rows if r["oracle"] == "Undecided"]
     mismatches = [r for r in rows if r["construction"] != r["oracle"] and r["oracle"] != "Undecided"]
     if args.json:
@@ -352,15 +335,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARAMS)
 
 
-def _add_common(sub) -> None:
+def _add_common(sub, *, budget: bool = False) -> None:
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sub.add_argument(
-        "--budget",
-        type=int,
-        default=28,
-        metavar="LOG2",
-        help="log2 of the subset/node budget per search (default 28)",
-    )
+    if budget:
+        sub.add_argument(
+            "--budget",
+            type=int,
+            default=28,
+            metavar="LOG2",
+            help="log2 of the subset/node budget per search (default 28)",
+        )
 
 
 def run_cli(argv=None) -> int:
@@ -369,12 +353,12 @@ def run_cli(argv=None) -> int:
 
     sub = commands.add_parser("classify", help="exact verdict for a graph or family spec")
     sub.add_argument("graph", help="family spec (cycle:12) or edge-list file")
-    _add_common(sub)
+    _add_common(sub, budget=True)
     sub.set_defaults(handler=_cmd_classify)
 
     sub = commands.add_parser("conditions", help="evaluate the shortcut conditions")
     sub.add_argument("graph", help="family spec or edge-list file")
-    _add_common(sub)
+    _add_common(sub, budget=True)
     sub.set_defaults(handler=_cmd_conditions)
 
     sub = commands.add_parser("witness", help="closed-form construction for a family")
@@ -396,7 +380,7 @@ def run_cli(argv=None) -> int:
 
     sub = commands.add_parser("verify", help="constructions vs oracle agreement sweep")
     sub.add_argument("--kmax", type=int, required=True)
-    _add_common(sub)
+    _add_common(sub, budget=True)
     sub.set_defaults(handler=_cmd_verify)
 
     sub = commands.add_parser("bal", help="balanced-copy threshold by brute force")
@@ -412,10 +396,11 @@ def run_cli(argv=None) -> int:
     sub.set_defaults(handler=_cmd_reduce)
 
     args = parser.parse_args(argv)
-    if not 0 <= args.budget <= 60:
-        print("balanceable: error: --budget must lie in 0..60", file=sys.stderr)
-        return EXIT_PARAMS
-    args.budget = 1 << args.budget
+    if hasattr(args, "budget"):
+        if not 0 <= args.budget <= 60:
+            print("balanceable: error: --budget must lie in 0..60", file=sys.stderr)
+            return EXIT_PARAMS
+        args.budget = 1 << args.budget
     try:
         return args.handler(args)
     except BudgetExceeded as exc:

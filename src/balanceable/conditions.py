@@ -30,7 +30,6 @@ __all__ = [
     "big_vertex",
     "bipartite_regular_4n",
     "regular_obstruction",
-    "parity_obstruction",
     "ConditionId",
     "ConditionReport",
     "condition_reports",

@@ -5,16 +5,19 @@ A graph with m edges is *balanceable* when both of these exist:
 * a cut (X, Y) whose crossing-edge count lands in {floor(m/2), ceil(m/2)};
 * a vertex set W with e(G[W]) in the same band.
 
-The searches enumerate candidate sets as ascending bitmask integers,
-maintaining the running edge count incrementally (a binary-counter step
-touches O(1) bits amortized).  Because masks are visited in increasing
-numeric order, the first hit is also the smallest-mask witness, which keeps
-every answer deterministic and lets tests pin exact witnesses.
+One kernel, ``_scan``, does every search here and in the reduction: it
+walks vertex sets as ascending bitmask integers and keeps a score up to
+date as each vertex joins or leaves (a binary-counter step touches O(1)
+vertices amortized).  The score is the crossing-edge count for cuts, with
+vertex 0 pinned inside X to halve the space, and the induced edge count
+for induced sets.  Because masks are visited in increasing order, the first
+hit is the smallest-mask witness, which keeps every answer deterministic
+and lets tests pin exact witnesses.
 
-Cut sides are canonicalized by keeping vertex 0 inside X, which halves the
-space; induced sets are unrestricted.  An explicit subset budget bounds
-each scan: exceeding it raises BudgetExceeded (or surfaces as an Undecided
-verdict) rather than returning a wrong answer.
+A cut witness X costs (X >> 1) + 1 states and an induced witness W costs
+W + 1; an empty scan costs its whole space.  Each scan has a state budget:
+exceeding it raises BudgetExceeded (or surfaces as an Undecided verdict)
+rather than returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -55,65 +58,65 @@ def half_edge_targets(m: int) -> tuple[int, int]:
     return m // 2, (m + 1) // 2
 
 
-def _scan_half_cut(g: Graph, lo: int, hi: int, budget: int) -> VertexSet | None:
-    n, adj, deg = g.n, g.adj, g.degrees()
-    if n == 0:
-        return VertexSet(0, 0) if lo <= 0 <= hi else None
-    x = 1
-    cut = deg[0]
-    if lo <= cut <= hi:
-        return VertexSet(n, x)
-    seen = 1
-    for sub in range(1, 1 << (n - 1)):
-        if seen >= budget:
-            raise BudgetExceeded("cut", budget)
-        seen += 1
-        t = (sub & -sub).bit_length() - 1
-        # counter bit b stands for vertex b + 1; vertex 0 stays inside X
-        for b in range(t):
-            v = b + 1
-            x &= ~(1 << v)
-            cut += 2 * (adj[v] & x).bit_count() - deg[v]
-        v = t + 1
-        cut += deg[v] - 2 * (adj[v] & x).bit_count()
-        x |= 1 << v
-        if lo <= cut <= hi:
-            return VertexSet(n, x)
-    return None
+def _scan(adj, gain, sign, low, x, score, targets, budget, scan, collect=False):
+    """The subset scan behind every search: the sets x | S, S a subset of
+    the vertices low..n-1, in ascending mask order.
 
-
-def _scan_half_induced(g: Graph, lo: int, hi: int, budget: int) -> VertexSet | None:
-    if lo <= 0 <= hi:
-        return VertexSet(g.n, 0)
-    n, adj = g.n, g.adj
-    x = 0
-    inside = 0
-    seen = 1
-    for sub in range(1, 1 << n):
-        if seen >= budget:
-            raise BudgetExceeded("induced", budget)
-        seen += 1
-        t = (sub & -sub).bit_length() - 1
-        for b in range(t):
-            x &= ~(1 << b)
-            inside -= (adj[b] & x).bit_count()
-        inside += (adj[t] & x).bit_count()
-        x |= 1 << t
-        if lo <= inside <= hi:
-            return VertexSet(n, x)
-    return None
+    Vertex v joining the set changes its score by gain[v] + sign * |N(v) & X|;
+    (deg, -2) counts crossing edges of a cut, (0, +1) induced edges.
+    ``targets`` is a bitmask of scores.  Returns the first set whose score
+    is a target (None if none), or with ``collect`` the targets reached.
+    The first set is free, then each one costs a unit of ``budget``; a scan
+    cut short by it raises BudgetExceeded.
+    """
+    space = 1 << (len(adj) - low)
+    stop = min(space, max(budget, 1))
+    # the lowest free vertex is tested inline: each counter step over the
+    # vertices above it visits two sets, X and X + {low}
+    row0, gain0 = (adj[low], gain[low]) if low < len(adj) else (0, 0)
+    bit0 = 1 << low
+    reached = 0
+    for h in range((stop + 1) >> 1):
+        if h:
+            t = (h & -h).bit_length()
+            for v in range(low + 1, low + t):
+                x ^= 1 << v
+                score -= gain[v] + sign * (adj[v] & x).bit_count()
+            v = low + t
+            score += gain[v] + sign * (adj[v] & x).bit_count()
+            x |= 1 << v
+        if targets >> score & 1:
+            if not collect:
+                return x
+            reached |= 1 << score
+            targets ^= 1 << score
+        odd = score + gain0 + sign * (row0 & x).bit_count()
+        if targets >> odd & 1 and 2 * h + 1 < stop:
+            if not collect:
+                return x | bit0
+            reached |= 1 << odd
+            targets ^= 1 << odd
+    if stop < space:
+        raise BudgetExceeded(scan, budget)
+    return reached if collect else None
 
 
 def find_half_cut(g: Graph, *, budget: int = DEFAULT_BUDGET) -> VertexSet | None:
     """Smallest-mask X containing vertex 0 whose cut lands in the half band."""
     lo, hi = half_edge_targets(g.m)
-    return _scan_half_cut(g, lo, hi, budget)
+    if g.n == 0:
+        return VertexSet(0, 0) if lo == 0 else None
+    deg = g.degrees()
+    # vertex 0 stays inside X, so the scan walks X = 1 | (s << 1)
+    x = _scan(g.adj, deg, -2, 1, 1, deg[0], 1 << lo | 1 << hi, budget, "cut")
+    return None if x is None else VertexSet(g.n, x)
 
 
 def find_half_induced(g: Graph, *, budget: int = DEFAULT_BUDGET) -> VertexSet | None:
     """Smallest-mask W with e(G[W]) in the half band."""
     lo, hi = half_edge_targets(g.m)
-    return _scan_half_induced(g, lo, hi, budget)
+    w = _scan(g.adj, (0,) * g.n, 1, 0, 0, 0, 1 << lo | 1 << hi, budget, "induced")
+    return None if w is None else VertexSet(g.n, w)
 
 
 class ObstructionKind(enum.Enum):
@@ -196,8 +199,9 @@ def decide_balanceable(g: Graph, *, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     The even-degree parity shortcut runs first, so large eulerian graphs
     with m/2 odd never pay for a doomed cut scan.  When the cut scan
-    completes empty, the induced scan still runs (budget permitting) so
-    the obstruction can name both missing halves.
+    completes empty, the induced scan still runs so the obstruction can
+    name both missing halves; if that scan runs out of budget, the kind
+    stays NoHalfCut and the detail says the induced half is unsettled.
     """
     lo, hi = half_edge_targets(g.m)
     band = f"{lo}..{hi}" if lo != hi else str(lo)
@@ -205,21 +209,21 @@ def decide_balanceable(g: Graph, *, budget: int = DEFAULT_BUDGET) -> Verdict:
     if parity is not None:
         return Verdict.not_balanceable(parity)
     try:
-        x = _scan_half_cut(g, lo, hi, budget)
+        x = find_half_cut(g, budget=budget)
     except BudgetExceeded as exc:
         return Verdict.undecided(str(exc))
     if x is None:
         kind = ObstructionKind.NO_HALF_CUT
         detail = f"no cut attains {band} crossing edges"
         try:
-            if _scan_half_induced(g, lo, hi, budget) is None:
+            if find_half_induced(g, budget=budget) is None:
                 kind = ObstructionKind.BOTH
                 detail = f"no cut and no induced subgraph attains {band} edges"
-        except BudgetExceeded:
-            pass
+        except BudgetExceeded as exc:
+            detail += f"; the {exc}"
         return Verdict.not_balanceable(Obstruction(kind, detail))
     try:
-        w = _scan_half_induced(g, lo, hi, budget)
+        w = find_half_induced(g, budget=budget)
     except BudgetExceeded as exc:
         return Verdict.undecided(str(exc))
     if w is None:

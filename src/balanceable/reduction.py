@@ -5,11 +5,11 @@ size at least k" into "is there a cut of size exactly k + m": the star's
 hub-leaf edges can pad any cut by 0..m crossing edges, and nothing else.
 
 Both questions are answered from the full set of achievable cut sizes,
-computed exactly.  The graph splits into connected components, each small
-component is enumerated exhaustively (2^(c-1) sides, incremental counts),
-and the per-component value sets combine by sumset.  Component value sets
-are memoized on the relabeled adjacency rows, so repeated shapes (every
-star leaf count, say) are enumerated once.
+computed exactly.  The graph splits into connected components; each one's
+2^(c-1) sides are walked by the oracle's cut scan, which collects every
+value it reaches, and the per-component value sets combine by sumset.
+Component value sets are memoized on the relabeled adjacency rows, so
+repeated shapes (every star leaf count, say) are enumerated once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .families import star
 from .graphs import Graph, _iter_bits, disjoint_union
-from .oracle import BudgetExceeded, DEFAULT_BUDGET
+from .oracle import BudgetExceeded, DEFAULT_BUDGET, _scan
 
 __all__ = [
     "CutInstance",
@@ -82,28 +82,11 @@ def _subgraph_rows(g: Graph, comp: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _cut_values_of_rows(rows: tuple[int, ...]) -> int:
-    """Bitmask of achievable cut sizes of one connected component.
-
-    Vertex 0 is pinned to one side (cut sizes are complement-invariant);
-    the other vertices are toggled in binary-counter order with
-    incremental count updates.
-    """
-    n = len(rows)
+    """Bitmask of achievable cut sizes of one connected component: the
+    oracle's cut scan over all sides, collecting every value reached."""
     deg = [row.bit_count() for row in rows]
-    values = 1
-    x = 0
-    cut = 0
-    for sub in range(1, 1 << max(n - 1, 0)):
-        t = (sub & -sub).bit_length() - 1
-        for b in range(t):
-            v = b + 1
-            x &= ~(1 << v)
-            cut += 2 * (rows[v] & x).bit_count() - deg[v]
-        v = t + 1
-        cut += deg[v] - 2 * (rows[v] & x).bit_count()
-        x |= 1 << v
-        values |= 1 << cut
-    return values
+    every = (1 << sum(deg) // 2 + 1) - 1
+    return _scan(rows, deg, -2, 1, 1, deg[0], every, 1 << len(rows), "component cut", True)
 
 
 def _cut_value_mask(g: Graph, *, budget: int = DEFAULT_BUDGET) -> int:

@@ -69,6 +69,23 @@ def test_budget_out_of_range_exits_one(capsys):
     assert "0..60" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "chorded:38,8"],
+        ["bal", "--n", "4", "--graph", "path:2"],
+        ["family-table", "--kmax", "6"],
+        ["grid-table", "--tri", "4"],
+        ["reduce", "graph.txt", "--k", "1"],
+    ],
+)
+def test_budget_rejected_where_unused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--budget", "5"])
+    assert exc.value.code == 1
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_conditions_output(capsys):
     code, out, _ = run(capsys, "conditions", "cycle:8")
     assert code == 0

@@ -153,3 +153,46 @@ def test_degenerate_graphs_balanceable():
         v = decide_balanceable(g)
         assert v.status == "Balanceable"
         assert v.witness.cut_edges == 0 and v.witness.induced_edges == 0
+
+
+def _mask(s):
+    return None if s is None else s.mask
+
+
+def test_scan_budget_boundaries():
+    """A cut witness X costs (X >> 1) + 1 states, an induced witness W costs
+    W + 1 and an empty scan its whole space; one state fewer raises.  The
+    first state is free.  The benchmark's state counts rest on these costs."""
+    rng = random.Random(20261018)
+    for _ in range(150):
+        n = rng.randrange(1, 10)
+        p = rng.random()
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        scans = (
+            (find_half_cut, "cut", lambda x: (x.mask >> 1) + 1, 1 << (n - 1)),
+            (find_half_induced, "induced", lambda w: w.mask + 1, 1 << n),
+        )
+        for find, scan, cost, space in scans:
+            hit = find(g)
+            need = cost(hit) if hit is not None else space
+            found = _mask(hit)
+            assert _mask(find(g, budget=need)) == found, (n, g.edges(), scan)
+            if need == 1:
+                assert _mask(find(g, budget=0)) == found
+                continue
+            with pytest.raises(BudgetExceeded) as exc:
+                find(g, budget=need - 1)
+            assert (exc.value.scan, exc.value.budget) == (scan, need - 1)
+            assert str(exc.value) == f"{scan} search exhausted its budget of {need - 1}"
+
+
+def test_decide_reports_unsettled_induced_half():
+    # K_8 has no half cut (s(8 - s) never hits 14); its induced scan needs
+    # all 256 states, so a budget of 128 leaves that half unsettled
+    v = decide_balanceable(complete(8), budget=128)
+    assert v.obstruction.kind.value == "NoHalfCut"
+    assert v.obstruction.detail == (
+        "no cut attains 14 crossing edges; the induced search exhausted its budget of 128"
+    )
+    v = decide_balanceable(complete(8), budget=256)
+    assert v.obstruction.kind.value == "Both"

@@ -139,3 +139,37 @@ def test_format_and_parse_round_trip():
 def test_parse_requires_target():
     with pytest.raises(ValueError):
         parse_cut_instance("3 1\n0 1\n")
+
+
+def _largest_component(g):
+    seen, largest = set(), 0
+    for v0 in range(g.n):
+        if v0 in seen:
+            continue
+        stack, size = [v0], 0
+        seen.add(v0)
+        while stack:
+            v = stack.pop()
+            size += 1
+            for u in range(g.n):
+                if g.has_edge(u, v) and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        largest = max(largest, size)
+    return largest
+
+
+def test_cut_value_set_budget_boundary_matches_brute_force():
+    """Each component of c vertices needs a budget of 2^(c-1) sides; with
+    exactly that for the largest one, the value set is the brute-force set."""
+    rng = random.Random(20261018)
+    for _ in range(60):
+        n = rng.randrange(1, 11)
+        p = rng.choice((0.15, 0.3, 0.6))
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        need = 1 << (_largest_component(g) - 1)
+        assert cut_value_set(g, budget=need) == brute_cut_values(g), (n, g.edges())
+        if need > 1:
+            with pytest.raises(BudgetExceeded) as exc:
+                cut_value_set(g, budget=need - 1)
+            assert str(exc.value) == f"component cut search exhausted its budget of {need - 1}"
