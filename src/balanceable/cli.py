@@ -29,7 +29,7 @@ from .witnesses import (
     witness_for_spec,
 )
 
-__all__ = ["Report", "report_to_json", "report_from_json", "run_cli", "main"]
+__all__ = ["Report", "report_to_json", "run_cli", "main"]
 
 EXIT_OK = 0
 EXIT_PARAMS = 1
@@ -60,10 +60,6 @@ def report_to_json(report: Report) -> str:
     return json.dumps(asdict(report), indent=2, sort_keys=True)
 
 
-def report_from_json(text: str) -> Report:
-    return Report(**json.loads(text))
-
-
 def _verdict_fields(verdict: Verdict) -> dict:
     fields: dict = {"status": verdict.status}
     if verdict.witness is not None:
@@ -85,12 +81,15 @@ def _verdict_fields(verdict: Verdict) -> dict:
 
 
 def _load_graph(token: str) -> Graph:
-    """A graph argument is an edge-list file path if one exists, else a
-    family spec like cycle:12 or grid:4x8."""
-    if os.path.exists(token):
-        with open(token, encoding="utf-8") as handle:
-            return parse_edge_list(handle.read())
-    return graph_from_spec(token)
+    """A graph argument is a family spec like cycle:12 or grid:4x8, else the
+    path of an existing edge-list file (./cycle:12 names a file)."""
+    try:
+        return graph_from_spec(token)
+    except ValueError:
+        if not os.path.exists(token):
+            raise
+    with open(token, encoding="utf-8") as handle:
+        return parse_edge_list(handle.read())
 
 
 def _emit(args, report: Report, text_lines: list[str]) -> None:

@@ -43,8 +43,12 @@ def independent_degree_sum(
 
     Branch and bound over vertices in ascending order, include before
     exclude, so the first hit is the lexicographically smallest witness as
-    an index sequence.  Pruned by remaining degree mass and by overshoot.
-    Raises BudgetExceeded after ``node_budget`` search nodes.
+    an index sequence.  A node is pruned when the degrees left cannot make
+    up the rest of the target, and a vertex is skipped when it neighbours
+    the set or overshoots.  Each include pushes a frame holding the state
+    before it; a dead end pops the newest frame and resumes at its exclude
+    branch, so there is no depth limit.  Raises BudgetExceeded on the node
+    after ``node_budget``.
     """
     if target < 0:
         raise ValueError("target must be nonnegative")
@@ -54,28 +58,23 @@ def independent_degree_sum(
     suffix = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
         suffix[v] = suffix[v + 1] + degs[v]
-    chosen: list[int] = []
-    nodes = 0
-
-    def walk(v: int, remaining: int, forbidden: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded("independent-set", node_budget)
+    frames: list[tuple[int, int, int]] = []  # (vertex, remaining, forbidden) before it joined
+    v, remaining, forbidden = 0, target, 0
+    for _ in range(node_budget):
         if remaining == 0:
-            return True
-        if v == n or suffix[v] < remaining:
-            return False
-        if not forbidden >> v & 1 and degs[v] <= remaining:
-            chosen.append(v)
-            if walk(v + 1, remaining - degs[v], forbidden | adj[v]):
-                return True
-            chosen.pop()
-        return walk(v + 1, remaining, forbidden)
-
-    if walk(0, target, 0):
-        return VertexSet.from_indices(n, chosen)
-    return None
+            return VertexSet.from_indices(n, [frame[0] for frame in frames])
+        if v < n and suffix[v] >= remaining:
+            if not forbidden >> v & 1 and degs[v] <= remaining:
+                frames.append((v, remaining, forbidden))
+                remaining -= degs[v]
+                forbidden |= adj[v]
+            v += 1
+        elif frames:
+            v, remaining, forbidden = frames.pop()
+            v += 1
+        else:
+            return None
+    raise BudgetExceeded("independent-set", node_budget)
 
 
 def big_vertex(g: Graph) -> int | None:
@@ -198,17 +197,16 @@ def condition_reports(
         )
     )
 
-    facts = basic_predicates(g)
-    blocked = False
-    if facts.is_regular and g.n > 0 and facts.regular_degree % 2 == 0 and g.m % 2 == 0:
-        blocked = regular_obstruction(facts.regular_degree, g.n)
+    degs = g.degrees()
+    d = degs[0] if g.n and min(degs) == max(degs) else None
+    blocked = d is not None and d % 2 == 0 and g.m % 2 == 0 and regular_obstruction(d, g.n)
     reports.append(
         ConditionReport(
             condition=ConditionId.REGULAR_OBSTRUCTION,
             outcome=IMPLIES_NOT_BALANCEABLE if blocked else INAPPLICABLE,
             witness=None,
             note=(
-                f"{facts.regular_degree}-regular on {g.n} vertices has m = 2 mod 4"
+                f"{d}-regular on {g.n} vertices has m = 2 mod 4"
                 if blocked
                 else "regular-degree parity does not apply"
             ),

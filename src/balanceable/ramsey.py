@@ -60,19 +60,6 @@ class Coloring:
     def is_red(self, u: int, v: int) -> bool:
         return bool(self.red >> edge_slot(self.n, u, v) & 1)
 
-    def swapped(self) -> "Coloring":
-        return Coloring(self.n, (1 << self.slots) - 1 ^ self.red)
-
-    def to_text(self) -> str:
-        return f"{self.n} {self.red:x}"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Coloring":
-        parts = text.split()
-        if len(parts) != 2:
-            raise ValueError("coloring text must be '<n> <red-mask-hex>'")
-        return cls(int(parts[0]), int(parts[1], 16))
-
 
 @dataclass(frozen=True)
 class BalancedCopy:

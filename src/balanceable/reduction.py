@@ -5,11 +5,13 @@ size at least k" into "is there a cut of size exactly k + m": the star's
 hub-leaf edges can pad any cut by 0..m crossing edges, and nothing else.
 
 Both questions are answered from the full set of achievable cut sizes,
-computed exactly.  The graph splits into connected components; each one's
-2^(c-1) sides are walked by the oracle's cut scan, which collects every
-value it reaches, and the per-component value sets combine by sumset.
-Component value sets are memoized on the relabeled adjacency rows, so
-repeated shapes (every star leaf count, say) are enumerated once.
+computed exactly.  One walk per connected component lists its vertices,
+and the per-component value sets combine by sumset.  A tree component on
+c vertices reaches every value 0..c-1, since every edge subset of a forest
+is a cut, so trees (the star among them) cost no search.  Any other
+component is relabeled in ascending vertex order and its 2^(c-1) sides are
+walked by the oracle's cut scan, which collects every value it reaches;
+those value sets are memoized on the relabeled adjacency rows.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .families import star
-from .graphs import Graph, _iter_bits, disjoint_union
+from .graphs import Graph, format_edge_list, parse_edge_list
 from .oracle import BudgetExceeded, DEFAULT_BUDGET, _scan
 
 __all__ = [
@@ -44,40 +45,12 @@ class CutInstance:
 
 
 def reduce_maxcut_to_exactcut(inst: CutInstance) -> CutInstance:
-    """Max-cut >= k on G becomes exact-cut = k + m on G plus a star K_{1,m}."""
-    m = inst.graph.m
-    return CutInstance(disjoint_union(inst.graph, star(m)), inst.k + m)
-
-
-def _components(g: Graph) -> list[int]:
-    seen = 0
-    comps = []
-    for v0 in range(g.n):
-        if seen >> v0 & 1:
-            continue
-        comp = 0
-        frontier = 1 << v0
-        while frontier:
-            comp |= frontier
-            grown = 0
-            for v in _iter_bits(frontier):
-                grown |= g.adj[v]
-            frontier = grown & ~comp
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def _subgraph_rows(g: Graph, comp: int) -> tuple[int, ...]:
-    verts = list(_iter_bits(comp))
-    index = {v: i for i, v in enumerate(verts)}
-    rows = []
-    for v in verts:
-        row = 0
-        for u in _iter_bits(g.adj[v] & comp):
-            row |= 1 << index[u]
-        rows.append(row)
-    return tuple(rows)
+    """Max-cut >= k on G becomes exact-cut = k + m on G plus a star K_{1,m}
+    with its hub at vertex n and its leaves at n+1..n+m."""
+    g = inst.graph
+    n, m = g.n, g.m
+    star = [(n, n + i) for i in range(1, m + 1)]
+    return CutInstance(Graph(n + m + 1, [*g.edges(), *star]), inst.k + m)
 
 
 @lru_cache(maxsize=None)
@@ -92,22 +65,43 @@ def _cut_values_of_rows(rows: tuple[int, ...]) -> int:
 def _cut_value_mask(g: Graph, *, budget: int = DEFAULT_BUDGET) -> int:
     """Bitmask of all achievable e(X, Y) over bipartitions of ``g``.
 
-    Computed per connected component (vertex 0 of each pinned to one side)
-    and combined as a sumset, so graphs with small components stay cheap
-    even when the total order is large.
+    Each component of c vertices needs a budget of 2^(c-1) sides, trees
+    included, so graphs with small components stay cheap at any order.
     """
+    adj, deg = g.adj, g.degrees()
     total = 1  # value 0, from the empty side
-    for comp in _components(g):
-        size = comp.bit_count()
-        if size > 1 and 1 << (size - 1) > budget:
+    seen = 0
+    for root in range(g.n):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        comp = [root]
+        ends = 0
+        for v in comp:  # the walk appends to the list it reads
+            ends += deg[v]
+            new = adj[v] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                comp.append(low.bit_length() - 1)
+                new ^= low
+        c = len(comp)
+        if c > 1 and 1 << (c - 1) > budget:
             raise BudgetExceeded("component cut", budget)
-        comp_values = _cut_values_of_rows(_subgraph_rows(g, comp))
+        if ends == 2 * (c - 1):
+            values = (1 << c) - 1  # a tree
+        else:
+            comp.sort()
+            if comp[-1] - comp[0] == c - 1:  # consecutive labels: shift down
+                rows = tuple(adj[v] >> comp[0] for v in comp)
+            else:
+                rows = tuple(sum(1 << i for i, u in enumerate(comp) if adj[v] >> u & 1) for v in comp)
+            values = _cut_values_of_rows(rows)
         merged = 0
-        v = comp_values
-        while v:
-            low = v & -v
+        while values:
+            low = values & -values
             merged |= total << (low.bit_length() - 1)
-            v ^= low
+            values ^= low
         total = merged
     return total
 
@@ -136,14 +130,10 @@ def max_cut_value(g: Graph, *, budget: int = DEFAULT_BUDGET) -> int:
 
 def format_cut_instance(inst: CutInstance) -> str:
     """Edge-list text with the cut target in a leading comment."""
-    from .graphs import format_edge_list
-
     return f"# target {inst.k}\n{format_edge_list(inst.graph)}"
 
 
 def parse_cut_instance(text: str) -> CutInstance:
-    from .graphs import parse_edge_list
-
     target = None
     for line in text.splitlines():
         token = line.strip()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .conditions import bipartite_regular_4n
-from .families import FamilyParams, chorded_cycle, rect_grid, tri_grid, tri_vertex
+from .families import FamilyParams, build_family, chorded_cycle, rect_grid, tri_grid, tri_vertex
 from .graphs import Graph, VertexSet, e_cut, e_induced
 from .oracle import (
     BalanceWitness,
@@ -162,7 +162,12 @@ def _evens_outside(g: Graph, k: int, blocked: int, count: int, case_id: str) -> 
 def circulant_witness(k: int, ell: int) -> ConstructionResult:
     """Balance witness (or obstruction) for the cycle on k vertices with
     all chords at distance ell."""
-    g = chorded_cycle(k, ell)
+    return _circulant_cases(chorded_cycle(k, ell), ell)
+
+
+def _circulant_cases(g: Graph, ell: int) -> ConstructionResult:
+    """circulant_witness on the chorded cycle ``g`` already built."""
+    k = g.n
     ell = min(ell, k - ell)
     lo, hi = half_edge_targets(g.m)
 
@@ -420,23 +425,26 @@ def tri_grid_witness(h: int) -> ConstructionResult:
 
 
 def witness_for_spec(params: FamilyParams) -> ConstructionResult:
-    """Dispatch a family request to the matching closed-form construction."""
+    """Dispatch a family request to the matching closed-form construction.
+
+    Parameters are checked by the family's own builder, with its messages,
+    so every spec rejected here is rejected by ``build_family`` too.
+    """
     kind = params.kind
-    if kind == "chorded-cycle":
-        return circulant_witness(params.k, params.ell)
-    if kind == "moebius":
-        return circulant_witness(params.k, params.k // 2)
-    if kind == "antiprism":
-        return circulant_witness(2 * params.k, 2)
-    if kind == "circulant":
-        steps = tuple(sorted(params.steps))
-        if len(steps) == 2 and steps[0] == 1:
-            return circulant_witness(params.k, steps[1])
-        raise ValueError(
-            "closed-form constructions cover circulants with steps {1, l} only"
-        )
     if kind == "rect-grid":
         return rect_grid_witness(params.rows, params.cols)
     if kind == "tri-grid":
         return tri_grid_witness(params.h)
-    raise ValueError(f"no closed-form construction for family {kind!r}")
+    if kind not in ("chorded-cycle", "moebius", "antiprism", "circulant"):
+        raise ValueError(f"no closed-form construction for family {kind!r}")
+    g = build_family(params)
+    if kind == "chorded-cycle":
+        return _circulant_cases(g, params.ell)
+    if kind == "moebius":
+        return _circulant_cases(g, g.n // 2)
+    if kind == "antiprism":
+        return _circulant_cases(g, 2)
+    steps = sorted(params.steps)
+    if len(steps) != 2 or steps[0] != 1:
+        raise ValueError("closed-form constructions cover circulants with steps {1, l} only")
+    return _circulant_cases(g, steps[1])

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from balanceable import cycle, format_edge_list
-from balanceable.cli import Report, report_from_json, report_to_json, run_cli
+from balanceable.cli import run_cli
 
 
 def run(capsys, *argv):
@@ -198,14 +198,32 @@ def test_reduce_missing_file(capsys):
     assert code == 1
 
 
-def test_report_json_round_trip():
-    r = Report(
-        input="cycle:12",
-        status="Balanceable",
-        cut_side=[0, 2, 4],
-        induced_set=[0, 1, 2, 3, 4, 5, 6],
-        cut_edges=6,
-        induced_edges=6,
-        timing_ms=1.25,
-    )
-    assert report_from_json(report_to_json(r)) == r
+
+@pytest.mark.parametrize("spec", ["moebius:5", "antiprism:2", "circulant:12,1+7", "circulant:12,1+1"])
+def test_witness_rejects_what_classify_rejects(spec, capsys):
+    code, _, expected = run(capsys, "classify", spec)
+    assert code == 1
+    code, out, err = run(capsys, "witness", spec)
+    assert code == 1
+    assert out == ""
+    assert err == expected
+
+
+def test_spec_wins_over_a_file_of_the_same_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cycle:12").write_text("3 2\n0 1\n1 2\n")
+    code, out, _ = run(capsys, "classify", "cycle:12", "--json")
+    assert code == 0
+    assert json.loads(out)["cut_side"] == [0, 2, 4]
+    code, out, _ = run(capsys, "classify", "./cycle:12", "--json")
+    assert code == 0
+    assert json.loads(out)["cut_side"] == [0]
+    code, _, err = run(capsys, "classify", "cycle:2")
+    assert code == 1
+    assert "cycle needs at least 3 vertices" in err
+
+
+def test_conditions_deep_chorded_cycle(capsys):
+    code, out, _ = run(capsys, "conditions", "chorded:1002,7", "--budget", "18")
+    assert code == 0
+    assert "DegreeHalfEdges: inapplicable; independent-set search exhausted its budget of 262144" in out

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from balanceable import (
     BudgetExceeded,
+    Graph,
     IMPLIES_BALANCEABLE,
     IMPLIES_NOT_BALANCEABLE,
     INAPPLICABLE,
@@ -12,6 +15,8 @@ from balanceable import (
     condition_reports,
     cycle,
     decide_balanceable,
+    graph_from_spec,
+    half_edge_targets,
     independent_degree_sum,
     rect_grid,
     regular_obstruction,
@@ -62,6 +67,101 @@ def test_independent_degree_sum_budget():
     g = rect_grid(5, 6)
     with pytest.raises(BudgetExceeded):
         independent_degree_sum(g, g.m // 2, node_budget=3)
+
+
+def recursive_independent_degree_sum(g, target, node_budget):
+    """The recursive search that independent_degree_sum replaced, kept as
+    the reference for its node order.  Returns (witness indices or None,
+    nodes visited), or raises BudgetExceeded on the node after the budget."""
+    if target == 0:
+        return (), 0
+    n, adj, degs = g.n, g.adj, g.degrees()
+    suffix = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        suffix[v] = suffix[v + 1] + degs[v]
+    chosen = []
+    nodes = 0
+
+    def walk(v, remaining, forbidden):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceeded("independent-set", node_budget)
+        if remaining == 0:
+            return True
+        if v == n or suffix[v] < remaining:
+            return False
+        if not forbidden >> v & 1 and degs[v] <= remaining:
+            chosen.append(v)
+            if walk(v + 1, remaining - degs[v], forbidden | adj[v]):
+                return True
+            chosen.pop()
+        return walk(v + 1, remaining, forbidden)
+
+    found = walk(0, target, 0)
+    return (tuple(chosen) if found else None), nodes
+
+
+def _stack_result(g, target, node_budget):
+    try:
+        got = independent_degree_sum(g, target, node_budget=node_budget)
+    except BudgetExceeded as exc:
+        return str(exc)
+    return None if got is None else got.indices()
+
+
+def test_independent_degree_sum_matches_recursive_search():
+    """Same witness, and the same node count: with exactly the nodes the
+    recursive search visited it answers, with one fewer it raises."""
+    rng = random.Random(20261018)
+    cap = 3000
+    for _ in range(400):
+        n = rng.choice((rng.randrange(0, 12), rng.randrange(12, 500)))
+        size = min(n * (n - 1) // 2, int(n * rng.choice((0.5, 1, 1.5, 2, 4)) / 2))
+        edges = set()
+        while len(edges) < size:
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+        g = Graph(n, edges)
+        lo, hi = half_edge_targets(g.m)
+        for target in {lo, hi, rng.randrange(sum(g.degrees()) + 2)}:
+            try:
+                want, nodes = recursive_independent_degree_sum(g, target, cap)
+            except BudgetExceeded:
+                assert _stack_result(g, target, cap) == f"independent-set search exhausted its budget of {cap}"
+                continue
+            assert _stack_result(g, target, nodes) == want, (n, sorted(edges), target)
+            if nodes:
+                short = _stack_result(g, target, nodes - 1)
+                assert short == f"independent-set search exhausted its budget of {nodes - 1}"
+
+
+@pytest.mark.parametrize("spec", ["chorded:1002,7", "cycle:1002", "wheel:1101", "tri:47"])
+def test_condition_reports_beyond_the_recursion_limit(spec):
+    g = graph_from_spec(spec)
+    reports = condition_reports(g, node_budget=1 << 18)
+    assert [r.condition.value for r in reports] == [
+        "DegreeHalfEdges",
+        "BigVertex",
+        "ParityEulerian",
+        "RegularObstruction",
+        "BipartiteRegular4n",
+    ]
+    lo, hi = half_edge_targets(g.m)
+    for r in reports:
+        assert (r.witness is not None) == (r.outcome == IMPLIES_BALANCEABLE), r
+    ind = reports[0].witness
+    if ind is not None:
+        assert is_independent(g, ind)
+        assert lo <= sum(g.degree(v) for v in ind.indices()) <= hi
+    outcomes = {r.condition.value: r.outcome for r in reports}
+    if spec == "cycle:1002":  # all degrees 2 and m/2 = 501 odd
+        assert outcomes["ParityEulerian"] == IMPLIES_NOT_BALANCEABLE
+        assert outcomes["RegularObstruction"] == IMPLIES_NOT_BALANCEABLE
+        assert outcomes["DegreeHalfEdges"] == INAPPLICABLE
+    if spec == "wheel:1101":  # the hub has degree 1101 = m/2
+        assert outcomes["BigVertex"] == IMPLIES_BALANCEABLE
+        assert outcomes["DegreeHalfEdges"] == IMPLIES_BALANCEABLE
 
 
 def test_big_vertex():

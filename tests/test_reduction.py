@@ -173,3 +173,14 @@ def test_cut_value_set_budget_boundary_matches_brute_force():
             with pytest.raises(BudgetExceeded) as exc:
                 cut_value_set(g, budget=need - 1)
             assert str(exc.value) == f"component cut search exhausted its budget of {need - 1}"
+
+
+def test_cut_value_set_of_forests_is_an_interval():
+    """Every edge subset of a forest is a cut, so a forest on n vertices
+    with c components reaches exactly the values 0..n-c."""
+    rng = random.Random(60)
+    for _ in range(200):
+        n = rng.randrange(1, 61)
+        edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.85]
+        components = n - len(edges)
+        assert cut_value_set(Graph(n, edges), budget=1 << 60) == set(range(n - components + 1))
