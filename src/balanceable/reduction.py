@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, format_edge_list, parse_edge_list
+from .graphs import Graph
 from .oracle import BudgetExceeded, DEFAULT_BUDGET, _scan
 
 __all__ = [
@@ -92,10 +92,7 @@ def _cut_value_mask(g: Graph, *, budget: int = DEFAULT_BUDGET) -> int:
             values = (1 << c) - 1  # a tree
         else:
             comp.sort()
-            if comp[-1] - comp[0] == c - 1:  # consecutive labels: shift down
-                rows = tuple(adj[v] >> comp[0] for v in comp)
-            else:
-                rows = tuple(sum(1 << i for i, u in enumerate(comp) if adj[v] >> u & 1) for v in comp)
+            rows = tuple(sum(1 << i for i, u in enumerate(comp) if adj[v] >> u & 1) for v in comp)
             values = _cut_values_of_rows(rows)
         merged = 0
         while values:
@@ -130,10 +127,14 @@ def max_cut_value(g: Graph, *, budget: int = DEFAULT_BUDGET) -> int:
 
 def format_cut_instance(inst: CutInstance) -> str:
     """Edge-list text with the cut target in a leading comment."""
+    from .graphs import format_edge_list
+
     return f"# target {inst.k}\n{format_edge_list(inst.graph)}"
 
 
 def parse_cut_instance(text: str) -> CutInstance:
+    from .graphs import parse_edge_list
+
     target = None
     for line in text.splitlines():
         token = line.strip()
