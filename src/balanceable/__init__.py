@@ -3,154 +3,19 @@ constructions for graphs that admit both a half-size cut and a half-size
 induced subgraph, plus a balanced-Ramsey brute forcer and a max-cut to
 exact-cut reducer."""
 
-from .conditions import (
-    IMPLIES_BALANCEABLE,
-    IMPLIES_NOT_BALANCEABLE,
-    INAPPLICABLE,
-    ConditionId,
-    ConditionReport,
-    big_vertex,
-    bipartite_regular_4n,
-    condition_reports,
-    independent_degree_sum,
-    regular_obstruction,
-)
-from .families import (
-    FamilyParams,
-    antiprism,
-    build_family,
-    chorded_cycle,
-    circulant,
-    complete,
-    cycle,
-    graph_from_spec,
-    moebius,
-    parse_family_spec,
-    path,
-    rect_grid,
-    star,
-    tri_grid,
-    tri_vertex,
-    wheel,
-)
-from .graphs import (
-    Graph,
-    GraphFacts,
-    VertexSet,
-    basic_predicates,
-    disjoint_union,
-    e_cut,
-    e_induced,
-    format_edge_list,
-    parse_edge_list,
-)
-from .oracle import (
-    DEFAULT_BUDGET,
-    BalanceWitness,
-    BudgetExceeded,
-    Obstruction,
-    ObstructionKind,
-    Verdict,
-    decide_balanceable,
-    find_half_cut,
-    find_half_induced,
-    half_edge_targets,
-    parity_obstruction,
-)
-from .ramsey import (
-    BAL_ORDER_LIMIT,
-    BalancedCopy,
-    Coloring,
-    bal_number,
-    edge_slot,
-    find_balanced_copy,
-)
-from .reduction import (
-    CutInstance,
-    cut_value_set,
-    format_cut_instance,
-    has_cut_at_least,
-    has_cut_exactly,
-    max_cut_value,
-    parse_cut_instance,
-    reduce_maxcut_to_exactcut,
-)
-from .witnesses import (
-    ConstructionBug,
-    ConstructionResult,
-    circulant_witness,
-    rect_grid_witness,
-    tri_grid_witness,
-    witness_for_spec,
-)
+from . import conditions, families, graphs, oracle, ramsey, reduction, witnesses
+from .conditions import *  # noqa: F403
+from .families import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .ramsey import *  # noqa: F403
+from .reduction import *  # noqa: F403
+from .witnesses import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BAL_ORDER_LIMIT",
-    "BalanceWitness",
-    "BalancedCopy",
-    "BudgetExceeded",
-    "ConditionId",
-    "ConditionReport",
-    "ConstructionBug",
-    "ConstructionResult",
-    "CutInstance",
-    "DEFAULT_BUDGET",
-    "FamilyParams",
-    "Graph",
-    "GraphFacts",
-    "IMPLIES_BALANCEABLE",
-    "IMPLIES_NOT_BALANCEABLE",
-    "INAPPLICABLE",
-    "Obstruction",
-    "ObstructionKind",
-    "Coloring",
-    "Verdict",
-    "VertexSet",
-    "antiprism",
-    "bal_number",
-    "basic_predicates",
-    "big_vertex",
-    "bipartite_regular_4n",
-    "build_family",
-    "chorded_cycle",
-    "circulant",
-    "circulant_witness",
-    "complete",
-    "condition_reports",
-    "cut_value_set",
-    "cycle",
-    "decide_balanceable",
-    "disjoint_union",
-    "e_cut",
-    "e_induced",
-    "edge_slot",
-    "find_balanced_copy",
-    "find_half_cut",
-    "find_half_induced",
-    "format_cut_instance",
-    "format_edge_list",
-    "graph_from_spec",
-    "half_edge_targets",
-    "has_cut_at_least",
-    "has_cut_exactly",
-    "independent_degree_sum",
-    "max_cut_value",
-    "moebius",
-    "parity_obstruction",
-    "parse_cut_instance",
-    "parse_edge_list",
-    "parse_family_spec",
-    "path",
-    "rect_grid",
-    "rect_grid_witness",
-    "reduce_maxcut_to_exactcut",
-    "regular_obstruction",
-    "star",
-    "tri_grid",
-    "tri_grid_witness",
-    "tri_vertex",
-    "wheel",
-    "witness_for_spec",
+    name
+    for module in (conditions, families, graphs, oracle, ramsey, reduction, witnesses)
+    for name in module.__all__
 ]

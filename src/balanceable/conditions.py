@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graphs import Graph, VertexSet, basic_predicates
+from .graphs import Graph, VertexSet, bipartition
 from .oracle import BudgetExceeded, DEFAULT_BUDGET, half_edge_targets, parity_obstruction
 
 __all__ = [
@@ -33,6 +33,9 @@ __all__ = [
     "ConditionId",
     "ConditionReport",
     "condition_reports",
+    "IMPLIES_BALANCEABLE",
+    "IMPLIES_NOT_BALANCEABLE",
+    "INAPPLICABLE",
 ]
 
 
@@ -96,13 +99,13 @@ def bipartite_regular_4n(g: Graph) -> VertexSet | None:
     the t smallest vertices of the part containing vertex 0, or None when
     the shape does not apply.
     """
-    if g.n == 0 or g.n % 4:
+    degs = g.degrees()
+    if g.n == 0 or g.n % 4 or min(degs) != max(degs):
         return None
-    facts = basic_predicates(g)
-    if not facts.is_bipartite or not facts.is_regular:
+    side = bipartition(g)
+    if side is None:
         return None
-    picked = facts.parts[0].indices()[: g.n // 4]
-    return VertexSet.from_indices(g.n, picked)
+    return VertexSet.from_indices(g.n, side.indices()[: g.n // 4])
 
 
 def regular_obstruction(d: int, n: int) -> bool:

@@ -9,6 +9,11 @@ constructions quote concrete vertex indices:
   vertices, with 1-based ``(row j, pos i) -> (j-1)j/2 + (i-1)``;
 * wheels: rim ``0 .. rim-1`` in cyclic order, hub last;
 * stars: hub 0, leaves after it.
+
+A spec ``<family>:<params>`` names its builder by the family's key in
+``_BUILDERS`` and lists that builder's positional arguments, so
+``chorded:38,8`` is ``chorded_cycle(38, 8)`` and ``grid:4x8`` is
+``rect_grid(4, 8)``.
 """
 
 from __future__ import annotations
@@ -88,12 +93,7 @@ def circulant(k: int, steps: tuple[int, ...]) -> Graph:
         if j in seen:
             raise ValueError(f"duplicate step {j}")
         seen.add(j)
-    edges = set()
-    for j in steps:
-        for i in range(k):
-            b = (i + j) % k
-            edges.add((min(i, b), max(i, b)))
-    return Graph(k, sorted(edges))
+    return Graph(k, [(i, (i + j) % k) for j in steps for i in range(k)])
 
 
 def chorded_cycle(k: int, ell: int) -> Graph:
@@ -169,54 +169,32 @@ def antiprism(k: int) -> Graph:
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Parsed family request: a kind tag plus the parameters it uses."""
+    """Parsed family request: the spec's family name and its builder's arguments."""
 
     kind: str
-    k: int | None = None
-    ell: int | None = None
-    steps: tuple[int, ...] | None = None
-    h: int | None = None
-    rows: int | None = None
-    cols: int | None = None
+    args: tuple
+
+
+_BUILDERS = {
+    "cycle": cycle,
+    "path": path,
+    "complete": complete,
+    "wheel": wheel,
+    "star": star,
+    "tri": tri_grid,
+    "moebius": moebius,
+    "antiprism": antiprism,
+    "grid": rect_grid,
+    "chorded": chorded_cycle,
+    "circulant": circulant,
+}
 
 
 def build_family(params: FamilyParams) -> Graph:
-    kind = params.kind
-    if kind == "cycle":
-        return cycle(params.k)
-    if kind == "path":
-        return path(params.k)
-    if kind == "complete":
-        return complete(params.k)
-    if kind == "wheel":
-        return wheel(params.k)
-    if kind == "star":
-        return star(params.k)
-    if kind == "circulant":
-        return circulant(params.k, params.steps)
-    if kind == "chorded-cycle":
-        return chorded_cycle(params.k, params.ell)
-    if kind == "rect-grid":
-        return rect_grid(params.rows, params.cols)
-    if kind == "tri-grid":
-        return tri_grid(params.h)
-    if kind == "moebius":
-        return moebius(params.k)
-    if kind == "antiprism":
-        return antiprism(params.k)
-    raise ValueError(f"unknown family kind {kind!r}")
-
-
-_SINGLE_INT = {
-    "cycle": "cycle",
-    "path": "path",
-    "complete": "complete",
-    "wheel": "wheel",
-    "star": "star",
-    "tri": "tri-grid",
-    "moebius": "moebius",
-    "antiprism": "antiprism",
-}
+    builder = _BUILDERS.get(params.kind)
+    if builder is None:
+        raise ValueError(f"unknown family kind {params.kind!r}")
+    return builder(*params.args)
 
 
 def parse_family_spec(text: str) -> FamilyParams:
@@ -234,39 +212,29 @@ def parse_family_spec(text: str) -> FamilyParams:
         except ValueError:
             raise ValueError(f"family spec {text!r}: {label} must be an integer") from None
 
-    if kind in _SINGLE_INT:
-        value = as_int(rest, "parameter")
-        target = _SINGLE_INT[kind]
-        if target == "tri-grid":
-            return FamilyParams(kind=target, h=value)
-        return FamilyParams(kind=target, k=value)
+    def halves(body: str, mark: str, form: str) -> list[str]:
+        parts = body.split(mark)
+        if len(parts) != 2:
+            raise ValueError(f"family spec {text!r}: expected '{form}'")
+        return parts
+
     if kind == "grid":
-        parts = rest.lower().split("x")
-        if len(parts) != 2:
-            raise ValueError(f"family spec {text!r}: expected 'grid:<rows>x<cols>'")
-        return FamilyParams(
-            kind="rect-grid",
-            rows=as_int(parts[0], "rows"),
-            cols=as_int(parts[1], "cols"),
-        )
-    if kind == "chorded":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"family spec {text!r}: expected 'chorded:<k>,<distance>'")
-        return FamilyParams(
-            kind="chorded-cycle",
-            k=as_int(parts[0], "order"),
-            ell=as_int(parts[1], "chord distance"),
-        )
-    if kind == "circulant":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"family spec {text!r}: expected 'circulant:<k>,<step>+<step>...'")
-        steps = tuple(as_int(tok, "step") for tok in parts[1].split("+") if tok)
+        rows, cols = halves(rest.lower(), "x", "grid:<rows>x<cols>")
+        args = (as_int(rows, "rows"), as_int(cols, "cols"))
+    elif kind == "chorded":
+        k, ell = halves(rest, ",", "chorded:<k>,<distance>")
+        args = (as_int(k, "order"), as_int(ell, "chord distance"))
+    elif kind == "circulant":
+        k, steps = halves(rest, ",", "circulant:<k>,<step>+<step>...")
+        steps = tuple(as_int(tok, "step") for tok in steps.split("+") if tok)
         if not steps:
             raise ValueError(f"family spec {text!r}: at least one step required")
-        return FamilyParams(kind="circulant", k=as_int(parts[0], "order"), steps=steps)
-    raise ValueError(f"family spec {text!r}: unknown family {kind!r}")
+        args = (as_int(k, "order"), steps)
+    elif kind in _BUILDERS:
+        args = (as_int(rest, "parameter"),)
+    else:
+        raise ValueError(f"family spec {text!r}: unknown family {kind!r}")
+    return FamilyParams(kind, args)
 
 
 def graph_from_spec(text: str) -> Graph:

@@ -15,10 +15,9 @@ from typing import Iterable, Iterator
 __all__ = [
     "Graph",
     "VertexSet",
-    "GraphFacts",
     "e_cut",
     "e_induced",
-    "basic_predicates",
+    "bipartition",
     "disjoint_union",
     "parse_edge_list",
     "format_edge_list",
@@ -157,65 +156,32 @@ def e_induced(g: Graph, w: VertexSet) -> int:
     return sum((adj[v] & inside).bit_count() for v in _iter_bits(inside)) // 2
 
 
-@dataclass(frozen=True)
-class GraphFacts:
-    """Cheap structural facts consumed by the sufficient-condition checks."""
+def bipartition(g: Graph) -> VertexSet | None:
+    """The side of a proper 2-colouring that holds each component's smallest
+    vertex, or None when ``g`` has an odd cycle.
 
-    is_eulerian: bool
-    is_regular: bool
-    regular_degree: int | None
-    is_bipartite: bool
-    parts: tuple[VertexSet, VertexSet] | None
-    degree_histogram: dict[int, int]
-
-
-def basic_predicates(g: Graph) -> GraphFacts:
-    """Degree parity, regularity, bipartiteness (with parts) and the degree census.
-
-    Eulerian here means every degree is even; connectivity is not required.
-    Bipartition parts are built by BFS from the smallest unvisited vertex,
-    which goes into the first part, so the parts are deterministic.
+    Each component is walked in breadth-first layers of bitmasks from its
+    smallest vertex; the even layers form the side.  An edge inside a layer
+    closes an odd cycle.
     """
-    degs = g.degrees()
-    histogram: dict[int, int] = {}
-    for d in degs:
-        histogram[d] = histogram.get(d, 0) + 1
-    eulerian = all(d % 2 == 0 for d in degs)
-    regular = g.n == 0 or min(degs) == max(degs)
-    color = [-1] * g.n
-    bipartite = True
-    for root in range(g.n):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue and bipartite:
-            nxt = []
-            for v in queue:
-                for u in g.neighbors(v):
-                    if color[u] < 0:
-                        color[u] = color[v] ^ 1
-                        nxt.append(u)
-                    elif color[u] == color[v]:
-                        bipartite = False
-                        break
-                if not bipartite:
-                    break
-            queue = nxt
-        if not bipartite:
-            break
-    parts = None
-    if bipartite:
-        part0 = sum(1 << v for v in range(g.n) if color[v] == 0)
-        parts = (VertexSet(g.n, part0), VertexSet(g.n, (1 << g.n) - 1 ^ part0))
-    return GraphFacts(
-        is_eulerian=eulerian,
-        is_regular=regular,
-        regular_degree=degs[0] if regular and g.n else None,
-        is_bipartite=bipartite,
-        parts=parts,
-        degree_histogram=histogram,
-    )
+    adj = g.adj
+    unseen = (1 << g.n) - 1
+    side = 0
+    while unseen:
+        layer = unseen & -unseen
+        even = True
+        while layer:
+            unseen ^= layer
+            if even:
+                side |= layer
+            reach = 0
+            for v in _iter_bits(layer):
+                if adj[v] & layer:
+                    return None
+                reach |= adj[v]
+            layer = reach & unseen
+            even = not even
+    return VertexSet(g.n, side)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

@@ -162,13 +162,17 @@ def _evens_outside(g: Graph, k: int, blocked: int, count: int, case_id: str) -> 
 def circulant_witness(k: int, ell: int) -> ConstructionResult:
     """Balance witness (or obstruction) for the cycle on k vertices with
     all chords at distance ell."""
-    return _circulant_cases(chorded_cycle(k, ell), ell)
+    return _circulant_cases(chorded_cycle(k, ell))
 
 
-def _circulant_cases(g: Graph, ell: int) -> ConstructionResult:
-    """circulant_witness on the chorded cycle ``g`` already built."""
+def _circulant_cases(g: Graph) -> ConstructionResult:
+    """circulant_witness on the chorded cycle ``g`` already built.
+
+    Its chord distance ell, mirrored into ``2..k/2``, is vertex 0's smallest
+    neighbour above 1.
+    """
     k = g.n
-    ell = min(ell, k - ell)
+    ell = next(v for v in g.neighbors(0) if v > 1)
     lo, hi = half_edge_targets(g.m)
 
     if k % 2:
@@ -430,21 +434,14 @@ def witness_for_spec(params: FamilyParams) -> ConstructionResult:
     Parameters are checked by the family's own builder, with its messages,
     so every spec rejected here is rejected by ``build_family`` too.
     """
-    kind = params.kind
-    if kind == "rect-grid":
-        return rect_grid_witness(params.rows, params.cols)
-    if kind == "tri-grid":
-        return tri_grid_witness(params.h)
-    if kind not in ("chorded-cycle", "moebius", "antiprism", "circulant"):
+    kind, args = params.kind, params.args
+    if kind == "grid":
+        return rect_grid_witness(*args)
+    if kind == "tri":
+        return tri_grid_witness(*args)
+    if kind not in ("chorded", "moebius", "antiprism", "circulant"):
         raise ValueError(f"no closed-form construction for family {kind!r}")
     g = build_family(params)
-    if kind == "chorded-cycle":
-        return _circulant_cases(g, params.ell)
-    if kind == "moebius":
-        return _circulant_cases(g, g.n // 2)
-    if kind == "antiprism":
-        return _circulant_cases(g, 2)
-    steps = sorted(params.steps)
-    if len(steps) != 2 or steps[0] != 1:
+    if kind == "circulant" and (len(args[1]) != 2 or 1 not in args[1]):
         raise ValueError("closed-form constructions cover circulants with steps {1, l} only")
-    return _circulant_cases(g, steps[1])
+    return _circulant_cases(g)

@@ -8,14 +8,18 @@ from balanceable import (
     IMPLIES_NOT_BALANCEABLE,
     Graph,
     VertexSet,
-    basic_predicates,
+    bipartition,
     condition_reports,
     cut_value_set,
     decide_balanceable,
     e_cut,
+    find_half_cut,
+    find_half_induced,
+    half_edge_targets,
 )
 
 nx = pytest.importorskip("networkx")
+np = pytest.importorskip("numpy")
 
 
 def atlas():
@@ -32,9 +36,36 @@ def test_cut_value_set_against_brute_force():
 def test_bipartite_against_networkx():
     count = 0
     for h, g in atlas():
-        assert basic_predicates(g).is_bipartite == nx.is_bipartite(h), g.adj
+        side = bipartition(g)
+        assert (side is not None) == nx.is_bipartite(h), g.adj
+        if side is not None:
+            assert all((u in side) != (v in side) for u, v in g.edges()), g.adj
+            assert all(min(c) in side for c in nx.connected_components(h)), g.adj
         count += 1
     assert count == 1253
+
+
+def smallest_half_masks(g):
+    """Numpy brute force: the smallest X containing vertex 0 whose cut, and
+    the smallest W whose induced edge count, lies in the half band."""
+    masks = np.arange(1 << g.n)
+    cut = np.zeros_like(masks)
+    inside = np.zeros_like(masks)
+    for u, v in g.edges():
+        a, b = masks >> u & 1, masks >> v & 1
+        cut += a ^ b
+        inside += a & b
+    lo, hi = half_edge_targets(g.m)
+    pinned = (masks & 1 == 1) | (g.n == 0)
+    x = np.flatnonzero(pinned & ((cut == lo) | (cut == hi)))
+    w = np.flatnonzero((inside == lo) | (inside == hi))
+    return (int(x[0]) if x.size else None), (int(w[0]) if w.size else None)
+
+
+def test_scans_against_numpy_brute_force():
+    for _, g in atlas():
+        found = [None if s is None else s.mask for s in (find_half_cut(g), find_half_induced(g))]
+        assert found == list(smallest_half_masks(g)), g.adj
 
 
 def test_condition_outcomes_against_the_oracle():

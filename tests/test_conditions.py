@@ -195,9 +195,9 @@ def test_bipartite_regular_4n():
 def test_chorded_cycle_odd_steps_bipartite_but_wrong_order():
     # only odd chord steps keep the graph bipartite; order 10 is not 0 mod 4
     g = chorded_cycle(10, 3)
-    from balanceable import basic_predicates
+    from balanceable import bipartition
 
-    assert basic_predicates(g).is_bipartite
+    assert bipartition(g) is not None
     assert bipartite_regular_4n(g) is None
 
 

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from balanceable import (
+    FamilyParams,
     antiprism,
     build_family,
     chorded_cycle,
@@ -167,22 +170,47 @@ def test_build_family_matches_spec_parse():
     assert build_family(params) == chorded_cycle(10, 3)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "nope:4",
-        "cycle:",
-        "cycle:abc",
-        "grid:4",
-        "grid:4x",
-        "chorded:10",
-        "cycle:12,3",
-        "",
-    ],
-)
+def test_spec_names_its_builder():
+    assert parse_family_spec("chorded:38,8") == FamilyParams("chorded", (38, 8))
+    assert parse_family_spec(" GRID : 4X8 ") == FamilyParams("grid", (4, 8))
+    assert parse_family_spec("circulant:16,5+1") == FamilyParams("circulant", (16, (5, 1)))
+    assert parse_family_spec("tri:9") == FamilyParams("tri", (9,))
+    assert build_family(FamilyParams("grid", (4, 8))) == rect_grid(4, 8)
+    with pytest.raises(ValueError, match="unknown family kind 'tri-grid'"):
+        build_family(FamilyParams("tri-grid", (9,)))
+
+
+SPEC_REJECTS = {
+    "nope:4": "family spec 'nope:4': unknown family 'nope'",
+    "cycle:": "family spec 'cycle:': expected '<family>:<params>'",
+    "cycle:abc": "family spec 'cycle:abc': parameter must be an integer",
+    "grid:4": "family spec 'grid:4': expected 'grid:<rows>x<cols>'",
+    "grid:4x": "family spec 'grid:4x': cols must be an integer",
+    "chorded:10": "family spec 'chorded:10': expected 'chorded:<k>,<distance>'",
+    "cycle:12,3": "family spec 'cycle:12,3': parameter must be an integer",
+    "": "family spec '': expected '<family>:<params>'",
+}
+
+
+@pytest.mark.parametrize("spec", list(SPEC_REJECTS))
 def test_family_spec_rejects(spec):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         parse_family_spec(spec)
+    assert str(info.value) == SPEC_REJECTS[spec]
+
+
+def test_circulant_matches_independent_edge_set():
+    for k in range(1, 41):
+        one = [(j,) for j in range(1, k // 2 + 1)]
+        for steps in one + list(itertools.combinations(range(1, k // 2 + 1), 2)):
+            g = circulant(k, steps)
+            # u ~ v exactly when their distance around the cycle is a step
+            edges = {
+                (u, v) for u in range(k) for v in range(u + 1, k) if min(v - u, k - v + u) in steps
+            }
+            assert set(g.edges()) == edges, (k, steps)
+            assert g.m == len(edges)
+            assert circulant(k, steps[::-1]) == g
 
 
 def test_graph_from_spec_validates_parameters():

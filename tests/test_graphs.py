@@ -3,7 +3,7 @@ import pytest
 from balanceable import (
     Graph,
     VertexSet,
-    basic_predicates,
+    bipartition,
     complete,
     cycle,
     disjoint_union,
@@ -76,29 +76,19 @@ def test_cut_rejects_foreign_set():
         e_cut(cycle(4), VertexSet.from_indices(5, [0]))
 
 
-def test_basic_predicates_cycle_even():
-    facts = basic_predicates(cycle(6))
-    assert facts.is_eulerian
-    assert facts.is_regular and facts.regular_degree == 2
-    assert facts.is_bipartite
-    a, b = facts.parts
-    assert len(a) + len(b) == 6
-    assert set(a.indices()) | set(b.indices()) == set(range(6))
+def test_bipartition_cycle_even():
+    assert bipartition(cycle(6)).indices() == (0, 2, 4)
 
 
-def test_basic_predicates_cycle_odd():
-    facts = basic_predicates(cycle(5))
-    assert facts.is_eulerian  # all degrees even
-    assert not facts.is_bipartite
-    assert facts.parts is None
+def test_bipartition_cycle_odd():
+    assert bipartition(cycle(5)) is None
 
 
-def test_basic_predicates_star():
-    facts = basic_predicates(star(3))
-    assert not facts.is_eulerian
-    assert not facts.is_regular
-    assert facts.is_bipartite
-    assert facts.degree_histogram == {1: 3, 3: 1}
+def test_bipartition_star():
+    assert bipartition(star(3)).indices() == (0,)
+    # each component's smallest vertex is on the returned side
+    two_paths = disjoint_union(star(1), Graph(3, [(1, 0), (1, 2)]))
+    assert bipartition(two_paths).indices() == (0, 2, 4)
 
 
 def test_disjoint_union():

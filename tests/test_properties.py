@@ -4,13 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balanceable import (
+    CutInstance,
     Graph,
     VertexSet,
     decide_balanceable,
     e_cut,
     e_induced,
+    format_cut_instance,
+    format_edge_list,
     half_edge_targets,
     parity_obstruction,
+    parse_cut_instance,
+    parse_edge_list,
     regular_obstruction,
 )
 
@@ -98,3 +103,14 @@ def test_regular_obstruction_parity_formula(d, n):
         return
     m = d * n // 2
     assert regular_obstruction(d, n) == ((m // 2) % 2 == 1)
+
+
+@given(graphs())
+def test_edge_list_round_trip(g):
+    assert parse_edge_list(format_edge_list(g)) == g
+
+
+@given(graphs(), st.data())
+def test_cut_instance_round_trip(g, data):
+    inst = CutInstance(g, data.draw(st.integers(min_value=0, max_value=g.m)))
+    assert parse_cut_instance(format_cut_instance(inst)) == inst

@@ -242,3 +242,32 @@ def test_witness_for_spec_dispatch():
         witness_for_spec(parse_family_spec("cycle:8"))
     with pytest.raises(ValueError):
         witness_for_spec(parse_family_spec("circulant:16,2+5"))
+
+
+WITNESS_REJECTS = {
+    "cycle:8": "no closed-form construction for family 'cycle'",
+    "circulant:16,2+5": "closed-form constructions cover circulants with steps {1, l} only",
+    "circulant:9,1+2+3": "closed-form constructions cover circulants with steps {1, l} only",
+}
+
+
+@pytest.mark.parametrize("spec", list(WITNESS_REJECTS))
+def test_witness_for_spec_rejects(spec):
+    with pytest.raises(ValueError) as info:
+        witness_for_spec(parse_family_spec(spec))
+    assert str(info.value) == WITNESS_REJECTS[spec]
+
+
+@pytest.mark.parametrize(
+    "spec, k, ell",
+    [
+        ("moebius:4", 4, 2),  # K_4
+        ("chorded:5,3", 5, 3),  # K_5
+        ("chorded:38,30", 38, 30),  # mirrored chord
+        ("circulant:16,5+1", 16, 5),  # unsorted steps
+    ],
+)
+def test_witness_for_spec_reads_chord_distance(spec, k, ell):
+    got = witness_for_spec(parse_family_spec(spec))
+    # graph, case id, witness masks, independent set and notes
+    assert got == circulant_witness(k, ell)
