@@ -1,6 +1,13 @@
 """Command-line front end: classification, witnesses, tables, and the
 cut-problem reducer.
 
+``classify``, ``conditions`` and ``witness`` print one flat report: every
+key of ``REPORT_KEYS`` under --json (unset keys null), else its text lines.
+``_verdict_report`` builds that report from a verdict for ``classify`` and
+``witness``.  ``family-table`` and ``grid-table`` print through
+``_print_table``, and ``family-table`` and ``verify`` walk the same
+``(k, ell)`` range, ``_chorded_sweep``.
+
 Exit codes: 0 on success, 1 on parameter errors (bad specs, bad files,
 bad flag values), 2 when a search budget was exhausted before an answer
 was reached.
@@ -13,11 +20,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from .conditions import condition_reports
 from .families import graph_from_spec, parse_family_spec
-from .graphs import Graph, parse_edge_list
+from .graphs import Graph, VertexSet, parse_edge_list
 from .oracle import BudgetExceeded, Verdict, decide_balanceable
 from .ramsey import bal_number
 from .reduction import CutInstance, format_cut_instance, reduce_maxcut_to_exactcut
@@ -29,55 +35,16 @@ from .witnesses import (
     witness_for_spec,
 )
 
-__all__ = ["Report", "report_to_json", "run_cli", "main"]
+__all__ = ["run_cli", "main"]
 
 EXIT_OK = 0
 EXIT_PARAMS = 1
 EXIT_BUDGET = 2
 
-
-@dataclass(frozen=True)
-class Report:
-    """JSON-friendly result envelope for the single-graph subcommands."""
-
-    input: str
-    status: str
-    obstruction: str | None = None
-    detail: str | None = None
-    case_id: str | None = None
-    cut_side: list | None = None
-    induced_set: list | None = None
-    cut_edges: int | None = None
-    induced_edges: int | None = None
-    independent_set: list | None = None
-    conditions: list | None = None
-    notes: str | None = None
-    timing_ms: float = 0.0
-    budget_status: str = "ok"
-
-
-def report_to_json(report: Report) -> str:
-    return json.dumps(asdict(report), indent=2, sort_keys=True)
-
-
-def _verdict_fields(verdict: Verdict) -> dict:
-    fields: dict = {"status": verdict.status}
-    if verdict.witness is not None:
-        w = verdict.witness
-        fields.update(
-            cut_side=list(w.cut_side.indices()),
-            induced_set=list(w.induced_set.indices()),
-            cut_edges=w.cut_edges,
-            induced_edges=w.induced_edges,
-        )
-    if verdict.obstruction is not None:
-        fields.update(
-            obstruction=verdict.obstruction.kind.value,
-            detail=verdict.obstruction.detail,
-        )
-    if verdict.status == "Undecided":
-        fields.update(detail=verdict.reason, budget_status="exceeded")
-    return fields
+REPORT_KEYS = (
+    "input status obstruction detail case_id cut_side induced_set cut_edges "
+    "induced_edges independent_set conditions notes timing_ms budget_status"
+).split()
 
 
 def _load_graph(token: str) -> Graph:
@@ -92,45 +59,76 @@ def _load_graph(token: str) -> Graph:
         return parse_edge_list(handle.read())
 
 
-def _emit(args, report: Report, text_lines: list[str]) -> None:
+def _timed(fn, *args, **kwargs):
+    """``fn``'s value and its wall time in milliseconds."""
+    start = time.perf_counter()
+    value = fn(*args, **kwargs)
+    return value, (time.perf_counter() - start) * 1000.0
+
+
+def _print_json(value) -> None:
+    print(json.dumps(value, indent=2, sort_keys=True))
+
+
+def _emit(args, report: dict, lines: list[str]) -> None:
     if args.json:
-        print(report_to_json(report))
+        _print_json({**dict.fromkeys(REPORT_KEYS), "budget_status": "ok", **report})
     else:
-        print("\n".join(text_lines))
+        print("\n".join(lines))
 
 
-def _witness_lines(report: Report) -> list[str]:
+def _verdict_report(
+    name: str,
+    verdict: Verdict,
+    timing_ms: float,
+    case_id: str | None = None,
+    independent_set: VertexSet | None = None,
+    notes: str | None = None,
+) -> tuple[dict, list[str]]:
+    """The report of a verdict and its text lines; ``witness`` adds its
+    construction's case id, independent set and notes."""
+    report = {
+        "input": name,
+        "status": verdict.status,
+        "case_id": case_id,
+        "notes": notes,
+        "timing_ms": timing_ms,
+    }
+    head = f"{name}: {verdict.status}" + (f" [{case_id}]" if case_id is not None else "")
     lines = []
-    if report.cut_side is not None:
-        lines.append(f"  cut side X = {report.cut_side} crossing {report.cut_edges} edges")
-        lines.append(f"  induced set W = {report.induced_set} with {report.induced_edges} edges")
-    if report.independent_set is not None:
-        lines.append(f"  independent set I = {report.independent_set}")
-    if report.detail:
-        lines.append(f"  {report.detail}")
-    if report.notes:
-        lines.append(f"  notes: {report.notes}")
-    return lines
+    w = verdict.witness
+    if w is not None:
+        report.update(
+            cut_side=list(w.cut_side.indices()),
+            induced_set=list(w.induced_set.indices()),
+            cut_edges=w.cut_edges,
+            induced_edges=w.induced_edges,
+        )
+        lines.append(f"  cut side X = {report['cut_side']} crossing {w.cut_edges} edges")
+        lines.append(f"  induced set W = {report['induced_set']} with {w.induced_edges} edges")
+    if independent_set is not None:
+        report["independent_set"] = list(independent_set.indices())
+        lines.append(f"  independent set I = {report['independent_set']}")
+    if verdict.obstruction is not None:
+        report.update(obstruction=verdict.obstruction.kind.value, detail=verdict.obstruction.detail)
+        head += f" ({report['obstruction']})"
+    if verdict.status == "Undecided":
+        report.update(detail=verdict.reason, budget_status="exceeded")
+    if report.get("detail"):
+        lines.append(f"  {report['detail']}")
+    if notes:
+        lines.append(f"  notes: {notes}")
+    return report, [head] + lines
 
 
 def _cmd_classify(args) -> int:
-    g = _load_graph(args.graph)
-    start = time.perf_counter()
-    verdict = decide_balanceable(g, budget=args.budget)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    report = Report(input=args.graph, timing_ms=elapsed, **_verdict_fields(verdict))
-    head = f"{args.graph}: {report.status}"
-    if report.obstruction is not None:
-        head += f" ({report.obstruction})"
-    _emit(args, report, [head] + _witness_lines(report))
+    verdict, elapsed = _timed(decide_balanceable, _load_graph(args.graph), budget=args.budget)
+    _emit(args, *_verdict_report(args.graph, verdict, elapsed))
     return EXIT_OK if verdict.status != "Undecided" else EXIT_BUDGET
 
 
 def _cmd_conditions(args) -> int:
-    g = _load_graph(args.graph)
-    start = time.perf_counter()
-    reports = condition_reports(g, node_budget=args.budget)
-    elapsed = (time.perf_counter() - start) * 1000.0
+    reports, elapsed = _timed(condition_reports, _load_graph(args.graph), node_budget=args.budget)
     rows = [
         {
             "condition": r.condition.value,
@@ -140,108 +138,54 @@ def _cmd_conditions(args) -> int:
         }
         for r in reports
     ]
-    report = Report(input=args.graph, status="ok", conditions=rows, timing_ms=elapsed)
     lines = [f"{args.graph} conditions:"]
-    for row in rows:
-        lines.append(f"  {row['condition']}: {row['outcome']}; {row['note']}")
+    lines += [f"  {row['condition']}: {row['outcome']}; {row['note']}" for row in rows]
+    report = {"input": args.graph, "status": "ok", "conditions": rows, "timing_ms": elapsed}
     _emit(args, report, lines)
     return EXIT_OK
 
 
-def _construction_report(spec: str, result: ConstructionResult, elapsed: float) -> Report:
-    fields = _verdict_fields(result.verdict)
-    ind = result.independent_set
-    return Report(
-        input=spec,
-        case_id=result.case_id,
-        independent_set=list(ind.indices()) if ind is not None else None,
-        notes=result.notes,
-        timing_ms=elapsed,
-        **fields,
-    )
-
-
 def _cmd_witness(args) -> int:
-    params = parse_family_spec(args.family)
-    start = time.perf_counter()
-    result = witness_for_spec(params)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    report = _construction_report(args.family, result, elapsed)
-    head = f"{args.family}: {report.status} [{report.case_id}]"
-    if report.obstruction is not None:
-        head += f" ({report.obstruction})"
-    _emit(args, report, [head] + _witness_lines(report))
+    result, elapsed = _timed(witness_for_spec, parse_family_spec(args.family))
+    extras = (result.case_id, result.independent_set, result.notes)
+    _emit(args, *_verdict_report(args.family, result.verdict, elapsed, *extras))
     return EXIT_OK
 
 
-def _family_row(k: int, ell: int) -> dict:
-    result = circulant_witness(k, ell)
-    w = result.witness
-    return {
-        "k": k,
-        "ell": ell,
-        "status": result.verdict.status,
-        "case": result.case_id,
-        "cut_edges": w.cut_edges if w else None,
-        "induced_edges": w.induced_edges if w else None,
-    }
-
-
-def _rect_row(k: int, ell: int) -> dict:
-    result = rect_grid_witness(k, ell)
-    w = result.witness
-    return {
-        "k": k,
-        "ell": ell,
-        "status": result.verdict.status,
-        "case": result.case_id,
-        "half_edges": w.cut_edges if w else None,
-    }
-
-
-def _tri_row(h: int) -> dict:
-    try:
-        result = tri_grid_witness(h)
-    except ValueError:  # odd edge count
-        return {"h": h, "status": "OddEdges", "case": None, "half_edges": None}
-    w = result.witness
-    return {
-        "h": h,
-        "status": result.verdict.status,
-        "case": result.case_id,
-        "half_edges": w.cut_edges if w else None,
-    }
-
-
-def _verify_row(k: int, ell: int, budget: int) -> dict:
-    construction = circulant_witness(k, ell)
-    oracle = decide_balanceable(construction.graph, budget=budget)
-    return {
-        "k": k,
-        "ell": ell,
-        "construction": construction.verdict.status,
-        "oracle": oracle.status,
-    }
-
-
-def _print_rows(args, rows: list[dict], columns: list[str]) -> None:
+def _print_table(args, columns: tuple[str, ...], rows: list[tuple]) -> None:
+    """One object per row under --json, else left-aligned text columns."""
     if args.json:
-        print(json.dumps(rows, indent=2, sort_keys=True))
+        _print_json([dict(zip(columns, row)) for row in rows])
         return
-    widths = {
-        c: max(len(c), *(len(str(row[c])) for row in rows)) if rows else len(c)
-        for c in columns
-    }
-    print("  ".join(c.ljust(widths[c]) for c in columns).rstrip())
-    for row in rows:
-        print("  ".join(str(row[c]).ljust(widths[c]) for c in columns).rstrip())
+    cells = [columns] + [[str(value) for value in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    for line in cells:
+        print("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
+
+
+def _summary(result: ConstructionResult) -> tuple:
+    """Status, case id, cut edges and induced edges of a construction; the
+    counts are None when it has no witness."""
+    w = result.witness
+    counts = (w.cut_edges, w.induced_edges) if w is not None else (None, None)
+    return (result.verdict.status, result.case_id, *counts)
+
+
+def _chorded_sweep(kmax: int):
+    """(k, ell, circulant_witness(k, ell)) for 4 <= k <= kmax and
+    2 <= ell <= k/2, built lazily; a kmax below 4 is refused at once."""
+    if kmax < 4:
+        raise ValueError("kmax must be at least 4")
+    return (
+        (k, ell, circulant_witness(k, ell))
+        for k in range(4, kmax + 1)
+        for ell in range(2, k // 2 + 1)
+    )
 
 
 def _cmd_family_table(args) -> int:
-    if args.kmax < 4:
-        raise ValueError("kmax must be at least 4")
-    rows = [_family_row(k, ell) for k in range(4, args.kmax + 1) for ell in range(2, k // 2 + 1)]
-    _print_rows(args, rows, ["k", "ell", "status", "case", "cut_edges", "induced_edges"])
+    rows = [(k, ell, *_summary(result)) for k, ell, result in _chorded_sweep(args.kmax)]
+    _print_table(args, ("k", "ell", "status", "case", "cut_edges", "induced_edges"), rows)
     return EXIT_OK
 
 
@@ -250,37 +194,38 @@ def _cmd_grid_table(args) -> int:
         if args.rect < 2:
             raise ValueError("kmax must be at least 2")
         rows = [
-            _rect_row(k, ell)
+            (k, ell, *_summary(rect_grid_witness(k, ell))[:3])
             for k in range(2, args.rect + 1)
             for ell in range(k, args.rect + 1, 2)
         ]
-        _print_rows(args, rows, ["k", "ell", "status", "case", "half_edges"])
-    else:
-        if args.tri < 1:
-            raise ValueError("hmax must be at least 1")
-        rows = [_tri_row(h) for h in range(1, args.tri + 1)]
-        _print_rows(args, rows, ["h", "status", "case", "half_edges"])
+        _print_table(args, ("k", "ell", "status", "case", "half_edges"), rows)
+        return EXIT_OK
+    if args.tri < 1:
+        raise ValueError("hmax must be at least 1")
+    rows = []
+    for h in range(1, args.tri + 1):
+        try:
+            rows.append((h, *_summary(tri_grid_witness(h))[:3]))
+        except ValueError:  # odd edge count
+            rows.append((h, "OddEdges", None, None))
+    _print_table(args, ("h", "status", "case", "half_edges"), rows)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    if args.kmax < 4:
-        raise ValueError("kmax must be at least 4")
     rows = [
-        _verify_row(k, ell, args.budget)
-        for k in range(4, args.kmax + 1)
-        for ell in range(2, k // 2 + 1)
+        {
+            "k": k,
+            "ell": ell,
+            "construction": result.verdict.status,
+            "oracle": decide_balanceable(result.graph, budget=args.budget).status,
+        }
+        for k, ell, result in _chorded_sweep(args.kmax)
     ]
     undecided = [r for r in rows if r["oracle"] == "Undecided"]
     mismatches = [r for r in rows if r["construction"] != r["oracle"] and r["oracle"] != "Undecided"]
     if args.json:
-        print(
-            json.dumps(
-                {"instances": len(rows), "mismatches": mismatches, "undecided": undecided},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        _print_json({"instances": len(rows), "mismatches": mismatches, "undecided": undecided})
     else:
         for r in mismatches:
             print(

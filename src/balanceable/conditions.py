@@ -147,14 +147,24 @@ class ConditionReport:
     note: str
 
 
+def _positive(condition: ConditionId, witness: VertexSet | None, note: str) -> ConditionReport:
+    """A certificate holds exactly when it found its witness."""
+    outcome = IMPLIES_BALANCEABLE if witness is not None else INAPPLICABLE
+    return ConditionReport(condition, outcome, witness, note)
+
+
+def _negative(condition: ConditionId, blocked: bool, note: str) -> ConditionReport:
+    """An obstruction holds when it blocks; it never has a witness."""
+    outcome = IMPLIES_NOT_BALANCEABLE if blocked else INAPPLICABLE
+    return ConditionReport(condition, outcome, None, note)
+
+
 def condition_reports(
     g: Graph, *, node_budget: int = DEFAULT_BUDGET
 ) -> tuple[ConditionReport, ...]:
     """Evaluate every condition against ``g``, in a fixed order."""
     lo, hi = half_edge_targets(g.m)
     band = f"{lo}..{hi}" if lo != hi else str(lo)
-    reports = []
-
     try:
         ind = independent_degree_sum(g, lo, node_budget=node_budget)
         if ind is None and hi != lo:
@@ -165,68 +175,35 @@ def condition_reports(
             else f"no independent set reaches degree sum {band}"
         )
     except BudgetExceeded as exc:
-        ind = None
-        note = str(exc)
-    reports.append(
-        ConditionReport(
-            condition=ConditionId.DEGREE_HALF_EDGES,
-            outcome=IMPLIES_BALANCEABLE if ind is not None else INAPPLICABLE,
-            witness=ind,
-            note=note,
-        )
-    )
+        ind, note = None, str(exc)
+    reports = [_positive(ConditionId.DEGREE_HALF_EDGES, ind, note)]
 
     v = big_vertex(g)
-    reports.append(
-        ConditionReport(
-            condition=ConditionId.BIG_VERTEX,
-            outcome=IMPLIES_BALANCEABLE if v is not None else INAPPLICABLE,
-            witness=VertexSet.from_indices(g.n, [v]) if v is not None else None,
-            note=(
-                f"vertex {v} has degree {g.degree(v)} = m/2"
-                if v is not None
-                else "no vertex has degree exactly m/2"
-            ),
-        )
-    )
+    if v is None:
+        reports.append(_positive(ConditionId.BIG_VERTEX, None, "no vertex has degree exactly m/2"))
+    else:
+        note = f"vertex {v} has degree {g.degree(v)} = m/2"
+        reports.append(_positive(ConditionId.BIG_VERTEX, VertexSet.from_indices(g.n, [v]), note))
 
     parity = parity_obstruction(g)
-    reports.append(
-        ConditionReport(
-            condition=ConditionId.PARITY_EULERIAN,
-            outcome=IMPLIES_NOT_BALANCEABLE if parity is not None else INAPPLICABLE,
-            witness=None,
-            note=parity.detail if parity is not None else "degree parities do not block half cuts",
-        )
-    )
+    note = parity.detail if parity is not None else "degree parities do not block half cuts"
+    reports.append(_negative(ConditionId.PARITY_EULERIAN, parity is not None, note))
 
     degs = g.degrees()
     d = degs[0] if g.n and min(degs) == max(degs) else None
     blocked = d is not None and d % 2 == 0 and g.m % 2 == 0 and regular_obstruction(d, g.n)
-    reports.append(
-        ConditionReport(
-            condition=ConditionId.REGULAR_OBSTRUCTION,
-            outcome=IMPLIES_NOT_BALANCEABLE if blocked else INAPPLICABLE,
-            witness=None,
-            note=(
-                f"{d}-regular on {g.n} vertices has m = 2 mod 4"
-                if blocked
-                else "regular-degree parity does not apply"
-            ),
-        )
+    note = (
+        f"{d}-regular on {g.n} vertices has m = 2 mod 4"
+        if blocked
+        else "regular-degree parity does not apply"
     )
+    reports.append(_negative(ConditionId.REGULAR_OBSTRUCTION, blocked, note))
 
     quarter = bipartite_regular_4n(g)
-    reports.append(
-        ConditionReport(
-            condition=ConditionId.BIPARTITE_REGULAR_4N,
-            outcome=IMPLIES_BALANCEABLE if quarter is not None else INAPPLICABLE,
-            witness=quarter,
-            note=(
-                "bipartite regular on 4t vertices: t vertices of one part"
-                if quarter is not None
-                else "not a bipartite regular graph on 4t vertices"
-            ),
-        )
+    note = (
+        "bipartite regular on 4t vertices: t vertices of one part"
+        if quarter is not None
+        else "not a bipartite regular graph on 4t vertices"
     )
+    reports.append(_positive(ConditionId.BIPARTITE_REGULAR_4N, quarter, note))
     return tuple(reports)

@@ -124,6 +124,15 @@ def _via_independent_set(
     )
 
 
+def _obstructed(
+    g: Graph, case_id: str, obstruction: Obstruction | None, notes: str
+) -> ConstructionResult:
+    """A negative result; a missing ``obstruction`` is a defect of the case analysis."""
+    if obstruction is None:
+        raise ConstructionBug(f"{case_id}: expected an obstruction on {g.n} vertices")
+    return ConstructionResult(g, case_id, Verdict.not_balanceable(obstruction), None, notes)
+
+
 def _spread_runs(run: int, count: int, forbidden: int, limit: int) -> list[int]:
     """Greedy positions: runs of ``run`` picks 2 apart, then a gap of 3.
 
@@ -152,7 +161,7 @@ def _spread_runs(run: int, count: int, forbidden: int, limit: int) -> list[int]:
     return picks
 
 
-def _evens_outside(g: Graph, k: int, blocked: int, count: int, case_id: str) -> list[int]:
+def _evens_outside(k: int, blocked: int, count: int, case_id: str) -> list[int]:
     picked = [v for v in range(0, k, 2) if not blocked >> v & 1][:count]
     if len(picked) < count:
         raise ConstructionBug(f"{case_id}: only {len(picked)}/{count} free even vertices")
@@ -173,35 +182,19 @@ def _circulant_cases(g: Graph) -> ConstructionResult:
     """
     k = g.n
     ell = next(v for v in g.neighbors(0) if v > 1)
-    lo, hi = half_edge_targets(g.m)
 
     if k % 2:
-        obs = parity_obstruction(g)
-        if obs is None:
-            raise ConstructionBug(f"odd-order: expected a parity obstruction at k={k}")
-        return ConstructionResult(
-            graph=g,
-            case_id="odd-order",
-            verdict=Verdict.not_balanceable(obs),
-            independent_set=None,
-            notes=f"m = 2k with k odd, so the half target {g.m // 2} is unreachable",
-        )
+        notes = f"m = 2k with k odd, so the half target {g.m // 2} is unreachable"
+        return _obstructed(g, "odd-order", parity_obstruction(g), notes)
 
     if (k, ell) == (6, 2):
-        if find_half_induced(g) is not None:
-            raise ConstructionBug("exception-6-2: an induced half-set exists after all")
-        return ConstructionResult(
-            graph=g,
-            case_id="exception-6-2",
-            verdict=Verdict.not_balanceable(
-                Obstruction(
-                    ObstructionKind.NO_HALF_INDUCED,
-                    "no vertex set induces exactly 6 of the 12 edges",
-                )
-            ),
-            independent_set=None,
-            notes="induced counts by size are 0, 0-1, 2-3, 4-5, 8, 12; never 6",
-        )
+        obs = None
+        if find_half_induced(g) is None:
+            obs = Obstruction(
+                ObstructionKind.NO_HALF_INDUCED, "no vertex set induces exactly 6 of the 12 edges"
+            )
+        notes = "induced counts by size are 0, 0-1, 2-3, 4-5, 8, 12; never 6"
+        return _obstructed(g, "exception-6-2", obs, notes)
 
     a, rem = divmod(k, 4)
 
@@ -246,14 +239,14 @@ def _circulant_cases(g: Graph) -> ConstructionResult:
     # k = 4a + 2 from here on
     if ell % 2:
         blocked = _closed_neighborhood(g, (0, 1))
-        x = [0, 1] + _evens_outside(g, k, blocked, a - 1, "2mod4-odd-chord")
+        x = [0, 1] + _evens_outside(k, blocked, a - 1, "2mod4-odd-chord")
         if k == 10:
             w = list(range(7))
             notes = "adjacent pair plus free evens; compact prefix induced set"
         else:
             removed = [0, 1, 5, 6] if ell == 3 else [0, 1, 3, 4]
             blocked_w = _closed_neighborhood(g, removed)
-            removed += _evens_outside(g, k, blocked_w, a - 3, "2mod4-odd-chord")
+            removed += _evens_outside(k, blocked_w, a - 3, "2mod4-odd-chord")
             out = set(removed)
             w = [v for v in range(k) if v not in out]
             notes = (
@@ -376,16 +369,8 @@ def tri_grid_witness(h: int) -> ConstructionResult:
     g = tri_grid(h)
 
     if h % 8 in (4, 5):
-        obs = parity_obstruction(g)
-        if obs is None:
-            raise ConstructionBug(f"tri-parity: expected a parity obstruction at h={h}")
-        return ConstructionResult(
-            graph=g,
-            case_id="tri-parity",
-            verdict=Verdict.not_balanceable(obs),
-            independent_set=None,
-            notes=f"all degrees even and m/2 = {g.m // 2} is odd",
-        )
+        notes = f"all degrees even and m/2 = {g.m // 2} is odd"
+        return _obstructed(g, "tri-parity", parity_obstruction(g), notes)
 
     if h == 1:
         return _via_independent_set(g, "tri-1mod8", [], "single vertex, no edges")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from balanceable import cycle, format_edge_list
+from balanceable import cycle, decide_balanceable, format_edge_list, graph_from_spec
 from balanceable.cli import run_cli
 
 
@@ -227,3 +227,103 @@ def test_conditions_deep_chorded_cycle(capsys):
     code, out, _ = run(capsys, "conditions", "chorded:1002,7", "--budget", "18")
     assert code == 0
     assert "DegreeHalfEdges: inapplicable; independent-set search exhausted its budget of 262144" in out
+
+
+REPORT_KEYS = {
+    "input",
+    "status",
+    "obstruction",
+    "detail",
+    "case_id",
+    "cut_side",
+    "induced_set",
+    "cut_edges",
+    "induced_edges",
+    "independent_set",
+    "conditions",
+    "notes",
+    "timing_ms",
+    "budget_status",
+}
+WITNESS_FIELDS = {"cut_side", "induced_set", "cut_edges", "induced_edges"}
+
+
+@pytest.mark.parametrize(
+    "argv, unset",
+    [
+        (
+            ["classify", "cycle:12"],
+            {"obstruction", "detail", "case_id", "independent_set", "conditions", "notes"},
+        ),
+        (["witness", "chorded:6,2"], WITNESS_FIELDS | {"independent_set", "conditions"}),
+        (
+            ["conditions", "wheel:6"],
+            REPORT_KEYS - {"input", "status", "conditions", "timing_ms", "budget_status"},
+        ),
+    ],
+)
+def test_single_graph_reports_share_one_schema(argv, unset, capsys):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == REPORT_KEYS
+    assert [key for key in sorted(REPORT_KEYS) if data[key] is None] == sorted(unset)
+    assert data["input"] == argv[1]
+    assert data["budget_status"] == "ok"
+    assert isinstance(data["timing_ms"], float)
+
+
+def test_undecided_report_names_the_exhausted_budget(capsys):
+    code, out, _ = run(capsys, "classify", "chorded:30,7", "--budget", "3", "--json")
+    assert code == 2
+    data = json.loads(out)
+    assert set(data) == REPORT_KEYS
+    assert data["status"] == "Undecided"
+    assert data["budget_status"] == "exceeded"
+    assert data["detail"] == decide_balanceable(graph_from_spec("chorded:30,7"), budget=8).reason
+
+
+UNDECIDED_AT_BUDGET_3 = [(6, 2), (6, 3), (8, 2), (8, 3), (8, 4)]
+
+
+def test_verify_reports_each_undecided_row(capsys):
+    code, out, _ = run(capsys, "verify", "--kmax", "8", "--budget", "3")
+    assert code == 2
+    assert out.splitlines() == [
+        f"UNDECIDED k={k} ell={ell}: oracle budget exhausted" for k, ell in UNDECIDED_AT_BUDGET_3
+    ] + ["9 instances, 0 mismatches, 5 undecided"]
+    code, out, _ = run(capsys, "verify", "--kmax", "8", "--budget", "3", "--json")
+    assert code == 2
+    data = json.loads(out)
+    assert (data["instances"], data["mismatches"]) == (9, [])
+    assert [(r["k"], r["ell"], r["oracle"]) for r in data["undecided"]] == [
+        (k, ell, "Undecided") for k, ell in UNDECIDED_AT_BUDGET_3
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["family-table", "--kmax", "3"], "kmax must be at least 4"),
+        (["verify", "--kmax", "3"], "kmax must be at least 4"),
+        (["grid-table", "--rect", "1"], "kmax must be at least 2"),
+        (["grid-table", "--tri", "0"], "hmax must be at least 1"),
+    ],
+)
+def test_table_ranges_refused_below_their_minimum(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"balanceable: error: {message}\n"
+
+
+def test_rect_grid_table_text(capsys):
+    code, out, _ = run(capsys, "grid-table", "--rect", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "k  ell  status       case                 half_edges",
+        "2  2    Balanceable  rect-even            2",
+        "2  4    Balanceable  rect-even            5",
+        "3  3    Balanceable  rect-odd-one-corner  6",
+        "4  4    Balanceable  rect-even            12",
+    ]
