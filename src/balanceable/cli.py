@@ -327,7 +327,9 @@ def run_cli(argv=None) -> int:
     _add_common(sub, budget=True)
     sub.set_defaults(handler=_cmd_verify)
 
-    sub = commands.add_parser("bal", help="balanced-copy threshold by brute force")
+    sub = commands.add_parser(
+        "bal", help="balanced-copy threshold over isomorphism classes of colorings"
+    )
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--graph", required=True, help="family spec for the pattern graph")
     _add_common(sub)

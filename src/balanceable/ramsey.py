@@ -5,14 +5,24 @@ edge count lands in {floor(m/2), ceil(m/2)}.  The threshold number for
 (n, G) is the largest min(|red|, |blue|) over colorings of K_n containing
 no balanced copy of G; when every coloring contains one, there is no
 threshold and None is returned instead of an invented sentinel.
+
+Both questions depend only on the isomorphism class of the red graph, so
+``bal_number`` walks the classes of graphs on n vertices instead of the
+2^(n(n-1)/2) colorings.  The classes come from canonical augmentation: each
+class on n-1 vertices gains a new vertex joined to every subset of the old
+ones, and the results are canonized and deduplicated.  A canonical code is
+the smallest red mask over the relabelings that permute vertices only within
+the cells of the colour-refined degree partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import permutations, product
 
 from .graphs import Graph
-from .oracle import BudgetExceeded, half_edge_targets
+from .oracle import half_edge_targets
 
 __all__ = [
     "edge_slot",
@@ -69,6 +79,19 @@ class BalancedCopy:
     red_edges: int
 
 
+def _red_rows(n: int, red: int) -> list[int]:
+    """Per-vertex adjacency bitmasks of the red edges of K_n."""
+    rows = [0] * n
+    slot = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if red >> slot & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            slot += 1
+    return rows
+
+
 def find_balanced_copy(c: Coloring, g: Graph) -> BalancedCopy | None:
     """First embedding of ``g`` into the colored K_n with a half-red edge set.
 
@@ -90,7 +113,7 @@ def find_balanced_copy(c: Coloring, g: Graph) -> BalancedCopy | None:
     for i in range(g.n - 1, -1, -1):
         remaining_after[i] = remaining_after[i + 1] + len(back[i])
 
-    host = list(range(c.n))
+    red_rows = _red_rows(c.n, c.red)
     image = [-1] * g.n
 
     def place(i: int, used: int, red: int) -> BalancedCopy | None:
@@ -99,15 +122,15 @@ def find_balanced_copy(c: Coloring, g: Graph) -> BalancedCopy | None:
         if i == g.n:
             return BalancedCopy(tuple(image), red)
         v = order[i]
-        for w in host:
+        # host vertices holding the placed neighbours of v
+        anchors = 0
+        for u in back[i]:
+            anchors |= 1 << image[u]
+        for w in range(c.n):
             if used >> w & 1:
                 continue
-            gained = 0
-            for u in back[i]:
-                if c.is_red(image[u], w):
-                    gained += 1
             image[v] = w
-            found = place(i + 1, used | 1 << w, red + gained)
+            found = place(i + 1, used | 1 << w, red + (red_rows[w] & anchors).bit_count())
             if found is not None:
                 return found
             image[v] = -1
@@ -116,23 +139,94 @@ def find_balanced_copy(c: Coloring, g: Graph) -> BalancedCopy | None:
     return place(0, 0, 0)
 
 
+@cache
+def _slot_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """``bits[a][b]`` is the slot bit of edge (a, b) of K_n."""
+    return tuple(
+        tuple(1 << edge_slot(n, a, b) if a != b else 0 for b in range(n)) for a in range(n)
+    )
+
+
+def _canonical(n: int, rows: list[int]) -> int:
+    """Canonical code of the graph with adjacency ``rows`` on n vertices.
+
+    Cells start as degree classes and split by the multiset of neighbour
+    cells until stable; cells are ordered by their sort keys, so the ordered
+    partition is isomorphism-invariant.  The code is the smallest slot mask
+    over the labelings that give each cell its own block of labels.
+    """
+    neighbours = [[u for u in range(n) if row >> u & 1] for row in rows]
+    cell = [len(nb) for nb in neighbours]
+    count = len(set(cell))
+    # a key packs a vertex's cell above its count of neighbours per cell;
+    # counts stay below n, so each takes n.bit_length() bits
+    width = n.bit_length()
+    while count < n:
+        keys = [
+            cell[v] << width * n | sum(1 << width * cell[u] for u in neighbours[v]) for v in range(n)
+        ]
+        ranked = sorted(set(keys))
+        if len(ranked) == count:
+            break
+        index = {k: i for i, k in enumerate(ranked)}
+        cell = [index[k] for k in keys]
+        count = len(ranked)
+    groups = [[v for v in range(n) if cell[v] == c] for c in sorted(set(cell))]
+    edges = [(u, v) for u in range(n) for v in neighbours[u] if u < v]
+    bit = _slot_bits(n)
+    best = 1 << n * (n - 1) // 2
+    label = [0] * n
+    for arrangement in product(*(permutations(group) for group in groups)):
+        position = 0
+        for block in arrangement:
+            for v in block:
+                label[v] = position
+                position += 1
+        mask = sum(bit[label[u]][label[v]] for u, v in edges)
+        best = min(best, mask)
+    return best
+
+
+@cache
+def _classes(n: int) -> tuple[int, ...]:
+    """Canonical codes of all graphs on n vertices, one per isomorphism class."""
+    if n <= 1:
+        return (0,)
+    codes = set()
+    for code in _classes(n - 1):
+        rows = _red_rows(n - 1, code)
+        # swapping twins u < v is an automorphism, so joining v without u
+        # repeats the class of joining u without v
+        twins = [
+            (u, v)
+            for u in range(n - 1)
+            for v in range(u + 1, n - 1)
+            if rows[u] & ~(1 << v) == rows[v] & ~(1 << u)
+        ]
+        for joined in range(1 << (n - 1)):
+            if any(joined >> v & 1 and not joined >> u & 1 for u, v in twins):
+                continue
+            extended = [row | (joined >> v & 1) << (n - 1) for v, row in enumerate(rows)]
+            codes.add(_canonical(n, extended + [joined]))
+    return tuple(sorted(codes))
+
+
 def bal_number(n: int, g: Graph) -> int | None:
     """Largest min(red, blue) over colorings of K_n with no balanced copy.
 
     None means every coloring of K_n contains a balanced copy of ``g``.
-    Enumeration covers half the colorings; the other half are complements,
-    and both balancedness and min(red, blue) are swap-invariant.
+    Relabeling the host keeps both answers, so one red graph per
+    isomorphism class is searched, and only the classes with at most half
+    the edges red: the complement of every other class is among them, and
+    both balancedness and min(red, blue) are swap-invariant.
     """
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n > BAL_ORDER_LIMIT:
-        raise BudgetExceeded("coloring enumeration", 1 << (BAL_ORDER_LIMIT * (BAL_ORDER_LIMIT - 1) // 2))
+    if not 1 <= n <= BAL_ORDER_LIMIT:
+        raise ValueError(f"host order must lie in 1..{BAL_ORDER_LIMIT} (the order cap), got {n}")
     slots = n * (n - 1) // 2
     best: int | None = None
-    for red in range(1 << max(slots - 1, 0)):
-        c = Coloring(n, red)
-        if find_balanced_copy(c, g) is None:
-            value = min(c.red_count(), c.blue_count())
-            if best is None or value > best:
-                best = value
+    for code in _classes(n):
+        red = code.bit_count()
+        if 2 * red <= slots and find_balanced_copy(Coloring(n, code), g) is None:
+            if best is None or red > best:
+                best = red
     return best

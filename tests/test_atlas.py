@@ -6,6 +6,7 @@ import pytest
 from balanceable import (
     IMPLIES_BALANCEABLE,
     IMPLIES_NOT_BALANCEABLE,
+    Coloring,
     Graph,
     VertexSet,
     bipartition,
@@ -17,6 +18,7 @@ from balanceable import (
     find_half_induced,
     half_edge_targets,
 )
+from balanceable.ramsey import _classes
 
 nx = pytest.importorskip("networkx")
 np = pytest.importorskip("numpy")
@@ -76,3 +78,28 @@ def test_condition_outcomes_against_the_oracle():
                 assert status == "Balanceable", (g.adj, r)
             elif r.outcome == IMPLIES_NOT_BALANCEABLE:
                 assert status == "NotBalanceable", (g.adj, r)
+
+
+def invariant(h):
+    return tuple(sorted(d for _, d in h.degree())), tuple(sorted(nx.triangles(h).values()))
+
+
+def test_red_graph_classes_are_the_atlas():
+    by_order = {}
+    for h, _ in atlas():
+        by_order.setdefault(h.number_of_nodes(), []).append(h)
+    for n in range(1, 8):
+        graphs = by_order[n]
+        buckets = {}
+        for i, h in enumerate(graphs):
+            buckets.setdefault(invariant(h), []).append(i)
+        matched = set()
+        for code in _classes(n):
+            c = Coloring(n, code)
+            red = nx.Graph()
+            red.add_nodes_from(range(n))
+            red.add_edges_from((u, v) for u in range(n) for v in range(u + 1, n) if c.is_red(u, v))
+            hits = [i for i in buckets.get(invariant(red), ()) if nx.is_isomorphic(red, graphs[i])]
+            assert len(hits) == 1, (n, code)
+            matched.add(hits[0])
+        assert len(matched) == len(graphs) == len(_classes(n))

@@ -166,10 +166,11 @@ def test_bal_text_and_json(capsys):
     assert json.loads(out)["bal"] is None
 
 
-def test_bal_large_host_exits_two(capsys):
-    code, _, err = run(capsys, "bal", "--n", "9", "--graph", "path:2")
-    assert code == 2
-    assert "budget" in err
+def test_bal_large_host_is_a_parameter_error(capsys):
+    code, _, err = run(capsys, "bal", "--n", "8", "--graph", "path:2")
+    assert code == 1
+    assert err.startswith("balanceable: error: ")
+    assert "order cap" in err
 
 
 def test_reduce_text_and_json(tmp_path, capsys):
