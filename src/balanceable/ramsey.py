@@ -1,32 +1,31 @@
 """Balanced-copy search in 2-colored complete graphs, at desk scale.
 
-A copy of a graph G inside an edge-colored K_n is *balanced* when its red
-edge count lands in {floor(m/2), ceil(m/2)}.  The threshold number for
-(n, G) is the largest min(|red|, |blue|) over colorings of K_n containing
-no balanced copy of G; when every coloring contains one, there is no
-threshold and None is returned instead of an invented sentinel.
+A 2-coloring of K_n is its red graph on n vertices: every non-edge is blue.
+A copy of a graph G inside it is *balanced* when its red edge count lands in
+{floor(m/2), ceil(m/2)}.  The threshold number for (n, G) is the largest
+min(|red|, |blue|) over colorings of K_n containing no balanced copy of G;
+when every coloring contains one, there is no threshold and None is
+returned instead of an invented sentinel.
 
 Both questions depend only on the isomorphism class of the red graph, so
 ``bal_number`` walks the classes of graphs on n vertices instead of the
 2^(n(n-1)/2) colorings.  The classes come from canonical augmentation: each
 class on n-1 vertices gains a new vertex joined to every subset of the old
-ones, and the results are canonized and deduplicated.  A canonical code is
-the smallest red mask over the relabelings that permute vertices only within
-the cells of the colour-refined degree partition.
+ones, and the results are canonized and deduplicated.  The canonizer's code,
+private to it, is the smallest edge mask over the relabelings that permute
+vertices only within the cells of the colour-refined degree partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .graphs import Graph
 from .oracle import half_edge_targets
 
 __all__ = [
-    "edge_slot",
-    "Coloring",
     "BalancedCopy",
     "find_balanced_copy",
     "bal_number",
@@ -34,41 +33,6 @@ __all__ = [
 ]
 
 BAL_ORDER_LIMIT = 7
-
-
-def edge_slot(n: int, u: int, v: int) -> int:
-    """Bitmask slot of edge (u, v) of K_n, edges ordered (0,1), (0,2), ..."""
-    if u > v:
-        u, v = v, u
-    if not 0 <= u < v < n:
-        raise ValueError(f"({u},{v}) is not an edge slot of K_{n}")
-    return u * n - u * (u + 1) // 2 + (v - u - 1)
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """Red/blue edge coloring of K_n as a red bitmask over the edge slots."""
-
-    n: int
-    red: int
-
-    def __post_init__(self):
-        slots = self.n * (self.n - 1) // 2
-        if not 0 <= self.red < 1 << slots:
-            raise ValueError(f"red mask out of range for K_{self.n}")
-
-    @property
-    def slots(self) -> int:
-        return self.n * (self.n - 1) // 2
-
-    def red_count(self) -> int:
-        return self.red.bit_count()
-
-    def blue_count(self) -> int:
-        return self.slots - self.red_count()
-
-    def is_red(self, u: int, v: int) -> bool:
-        return bool(self.red >> edge_slot(self.n, u, v) & 1)
 
 
 @dataclass(frozen=True)
@@ -79,30 +43,18 @@ class BalancedCopy:
     red_edges: int
 
 
-def _red_rows(n: int, red: int) -> list[int]:
-    """Per-vertex adjacency bitmasks of the red edges of K_n."""
-    rows = [0] * n
-    slot = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if red >> slot & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            slot += 1
-    return rows
+def find_balanced_copy(red: Graph, g: Graph) -> BalancedCopy | None:
+    """First embedding of ``g`` into K_n, n = ``red.n``, with a half-red edge set.
 
-
-def find_balanced_copy(c: Coloring, g: Graph) -> BalancedCopy | None:
-    """First embedding of ``g`` into the colored K_n with a half-red edge set.
-
-    Backtracking over injective vertex maps; pattern vertices are placed
-    highest degree first, host vertices tried in ascending order, so the
-    first hit is deterministic.  Prunes a partial map when its red count
-    already overshoots, or cannot reach the target even if every remaining
-    edge came up red.
+    Edges of ``red`` are red and its non-edges blue.  Backtracking over
+    injective vertex maps; pattern vertices are placed highest degree first,
+    host vertices tried in ascending order, so the first hit is
+    deterministic.  Prunes a partial map when its red count already
+    overshoots, or cannot reach the target even if every remaining edge came
+    up red.
     """
-    if g.n > c.n:
-        raise ValueError(f"pattern on {g.n} vertices cannot embed in K_{c.n}")
+    if g.n > red.n:
+        raise ValueError(f"pattern on {g.n} vertices cannot embed in K_{red.n}")
     lo, hi = half_edge_targets(g.m)
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     # edges from each newly placed vertex back to already placed ones
@@ -113,27 +65,26 @@ def find_balanced_copy(c: Coloring, g: Graph) -> BalancedCopy | None:
     for i in range(g.n - 1, -1, -1):
         remaining_after[i] = remaining_after[i + 1] + len(back[i])
 
-    red_rows = _red_rows(c.n, c.red)
+    rows = red.adj
     image = [-1] * g.n
 
-    def place(i: int, used: int, red: int) -> BalancedCopy | None:
-        if red > hi or red + remaining_after[i] < lo:
+    def place(i: int, used: int, reds: int) -> BalancedCopy | None:
+        if reds > hi or reds + remaining_after[i] < lo:
             return None
         if i == g.n:
-            return BalancedCopy(tuple(image), red)
+            return BalancedCopy(tuple(image), reds)
         v = order[i]
         # host vertices holding the placed neighbours of v
         anchors = 0
         for u in back[i]:
             anchors |= 1 << image[u]
-        for w in range(c.n):
+        for w in range(red.n):
             if used >> w & 1:
                 continue
             image[v] = w
-            found = place(i + 1, used | 1 << w, red + (red_rows[w] & anchors).bit_count())
+            found = place(i + 1, used | 1 << w, reds + (rows[w] & anchors).bit_count())
             if found is not None:
                 return found
-            image[v] = -1
         return None
 
     return place(0, 0, 0)
@@ -141,20 +92,23 @@ def find_balanced_copy(c: Coloring, g: Graph) -> BalancedCopy | None:
 
 @cache
 def _slot_bits(n: int) -> tuple[tuple[int, ...], ...]:
-    """``bits[a][b]`` is the slot bit of edge (a, b) of K_n."""
-    return tuple(
-        tuple(1 << edge_slot(n, a, b) if a != b else 0 for b in range(n)) for a in range(n)
-    )
+    """``bits[a][b]`` is the code bit of edge (a, b), pairs in lexicographic order."""
+    bits = [[0] * n for _ in range(n)]
+    for slot, (a, b) in enumerate(combinations(range(n), 2)):
+        bits[a][b] = bits[b][a] = 1 << slot
+    return tuple(map(tuple, bits))
 
 
-def _canonical(n: int, rows: list[int]) -> int:
-    """Canonical code of the graph with adjacency ``rows`` on n vertices.
+def _canonical(rows: list[int]) -> int:
+    """Canonical code of the graph with adjacency ``rows``.
 
     Cells start as degree classes and split by the multiset of neighbour
     cells until stable; cells are ordered by their sort keys, so the ordered
-    partition is isomorphism-invariant.  The code is the smallest slot mask
-    over the labelings that give each cell its own block of labels.
+    partition is isomorphism-invariant.  The code is the smallest edge mask
+    (in ``_slot_bits`` order) over the labelings that give each cell its own
+    block of labels.
     """
+    n = len(rows)
     neighbours = [[u for u in range(n) if row >> u & 1] for row in rows]
     cell = [len(nb) for nb in neighbours]
     count = len(set(cell))
@@ -188,13 +142,14 @@ def _canonical(n: int, rows: list[int]) -> int:
 
 
 @cache
-def _classes(n: int) -> tuple[int, ...]:
-    """Canonical codes of all graphs on n vertices, one per isomorphism class."""
+def _classes(n: int) -> tuple[Graph, ...]:
+    """One red graph on n vertices per isomorphism class, each the class's
+    canonical labeling, in ascending order of canonical code."""
     if n <= 1:
-        return (0,)
+        return (Graph(n),)
     codes = set()
-    for code in _classes(n - 1):
-        rows = _red_rows(n - 1, code)
+    for red in _classes(n - 1):
+        rows = red.adj
         # swapping twins u < v is an automorphism, so joining v without u
         # repeats the class of joining u without v
         twins = [
@@ -207,8 +162,12 @@ def _classes(n: int) -> tuple[int, ...]:
             if any(joined >> v & 1 and not joined >> u & 1 for u, v in twins):
                 continue
             extended = [row | (joined >> v & 1) << (n - 1) for v, row in enumerate(rows)]
-            codes.add(_canonical(n, extended + [joined]))
-    return tuple(sorted(codes))
+            codes.add(_canonical(extended + [joined]))
+    pairs = list(combinations(range(n), 2))
+    return tuple(
+        Graph(n, (pair for slot, pair in enumerate(pairs) if code >> slot & 1))
+        for code in sorted(codes)
+    )
 
 
 def bal_number(n: int, g: Graph) -> int | None:
@@ -224,9 +183,8 @@ def bal_number(n: int, g: Graph) -> int | None:
         raise ValueError(f"host order must lie in 1..{BAL_ORDER_LIMIT} (the order cap), got {n}")
     slots = n * (n - 1) // 2
     best: int | None = None
-    for code in _classes(n):
-        red = code.bit_count()
-        if 2 * red <= slots and find_balanced_copy(Coloring(n, code), g) is None:
-            if best is None or red > best:
-                best = red
+    for red in _classes(n):
+        if 2 * red.m <= slots and find_balanced_copy(red, g) is None:
+            if best is None or red.m > best:
+                best = red.m
     return best

@@ -6,67 +6,45 @@ import pytest
 from balanceable import (
     BAL_ORDER_LIMIT,
     BalancedCopy,
-    Coloring,
     Graph,
     bal_number,
     complete,
     cycle,
-    edge_slot,
     find_balanced_copy,
     graph_from_spec,
     half_edge_targets,
     path,
     star,
 )
-from balanceable.ramsey import _canonical, _classes, _red_rows
+from balanceable.ramsey import _canonical, _classes
 
 # OEIS A000088: graphs on n unlabeled vertices, n = 0, 1, 2, ...
 GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]
 
 
-def test_edge_slot_bijection():
-    n = 6
-    slots = [edge_slot(n, u, v) for u, v in itertools.combinations(range(n), 2)]
-    assert sorted(slots) == list(range(n * (n - 1) // 2))
-    assert edge_slot(n, 4, 2) == edge_slot(n, 2, 4)
-    with pytest.raises(ValueError):
-        edge_slot(n, 2, 2)
-    with pytest.raises(ValueError):
-        edge_slot(n, 0, 6)
-
-
-def test_coloring_counts():
-    c = Coloring(4, 0b000111)
-    assert c.red_count() == 3
-    assert c.blue_count() == 3
-    assert Coloring(4, (1 << 6) - 1 ^ c.red).red_count() == 3
-    assert c.is_red(0, 1) or not c.is_red(0, 1)  # just exercises the accessor
-    total = sum(c.is_red(u, v) for u, v in itertools.combinations(range(4), 2))
-    assert total == 3
-
-
-def test_coloring_rejects_stray_bits():
-    with pytest.raises(ValueError):
-        Coloring(3, 1 << 3)
+def red_graph(n, mask):
+    """Red graph of the coloring of K_n whose red edges are the set bits of
+    ``mask``, pairs numbered in lexicographic order."""
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, [pair for slot, pair in enumerate(pairs) if mask >> slot & 1])
 
 
 def test_monochromatic_coloring_has_no_balanced_path():
-    all_red = Coloring(4, (1 << 6) - 1)
+    all_red = complete(4)
     assert find_balanced_copy(all_red, path(2)) is None
-    all_blue = Coloring(4, 0)
+    all_blue = Graph(4)
     assert find_balanced_copy(all_blue, path(2)) is None
 
 
 def test_one_red_edge_gives_balanced_path():
-    c = Coloring(3, 1 << edge_slot(3, 0, 1))
-    copy = find_balanced_copy(c, path(2))
+    copy = find_balanced_copy(Graph(3, [(0, 1)]), path(2))
     assert copy is not None
     assert copy.red_edges == 1
 
 
 def test_single_edge_always_embeds():
     for red in range(1 << 3):
-        copy = find_balanced_copy(Coloring(3, red), path(1))
+        copy = find_balanced_copy(red_graph(3, red), path(1))
         assert copy is not None
         assert copy.red_edges in (0, 1)
 
@@ -76,30 +54,31 @@ def test_embedding_is_injective_and_correct():
     g = cycle(4)
     lo, hi = g.m // 2, (g.m + 1) // 2
     for _ in range(50):
-        c = Coloring(6, rng.randrange(1 << 15))
-        copy = find_balanced_copy(c, g)
+        red = red_graph(6, rng.randrange(1 << 15))
+        copy = find_balanced_copy(red, g)
         if copy is None:
             continue
         image = copy.embedding
         assert len(set(image)) == g.n
-        red = sum(c.is_red(image[u], image[v]) for u, v in g.edges())
-        assert red == copy.red_edges
-        assert lo <= red <= hi
+        reds = sum(red.has_edge(image[u], image[v]) for u, v in g.edges())
+        assert reds == copy.red_edges
+        assert lo <= reds <= hi
 
 
 def test_copy_search_respects_color_swap():
     rng = random.Random(7)
     g = path(2)
     for _ in range(60):
-        c = Coloring(5, rng.randrange(1 << 10))
-        a = find_balanced_copy(c, g) is not None
-        b = find_balanced_copy(Coloring(5, (1 << 10) - 1 ^ c.red), g) is not None
+        red = red_graph(5, rng.randrange(1 << 10))
+        blue = Graph(5, [e for e in itertools.combinations(range(5), 2) if not red.has_edge(*e)])
+        a = find_balanced_copy(red, g) is not None
+        b = find_balanced_copy(blue, g) is not None
         assert a == b
 
 
 def test_pattern_larger_than_host_rejected():
     with pytest.raises(ValueError):
-        find_balanced_copy(Coloring(3, 0), complete(4))
+        find_balanced_copy(Graph(3), complete(4))
 
 
 def test_bal_small_paths():
@@ -116,20 +95,6 @@ def test_bal_none_means_always_present():
     assert bal_number(3, path(1)) is None
 
 
-def test_bal_brute_force_cross_check():
-    # reference: direct max over all colorings, no symmetry halving
-    g = path(2)
-    n = 4
-    slots = n * (n - 1) // 2
-    best = None
-    for red in range(1 << slots):
-        c = Coloring(n, red)
-        if find_balanced_copy(c, g) is None:
-            value = min(c.red_count(), c.blue_count())
-            best = value if best is None else max(best, value)
-    assert bal_number(n, g) == best
-
-
 def test_bal_rejects_large_host():
     with pytest.raises(ValueError, match="order cap"):
         bal_number(BAL_ORDER_LIMIT + 1, path(2))
@@ -137,11 +102,11 @@ def test_bal_rejects_large_host():
         bal_number(0, path(2))
 
 
-def reference_find_balanced_copy(c, g):
-    """The backtracker as it read before red rows: every back edge is
-    scored by ``Coloring.is_red``."""
-    if g.n > c.n:
-        raise ValueError(f"pattern on {g.n} vertices cannot embed in K_{c.n}")
+def reference_find_balanced_copy(red, g):
+    """The backtracker without adjacency rows: every back edge is scored by
+    ``Graph.has_edge``."""
+    if g.n > red.n:
+        raise ValueError(f"pattern on {g.n} vertices cannot embed in K_{red.n}")
     lo, hi = half_edge_targets(g.m)
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     back = [[u for u in order[:i] if g.adj[v] >> u & 1] for i, v in enumerate(order)]
@@ -150,18 +115,18 @@ def reference_find_balanced_copy(c, g):
         remaining_after[i] = remaining_after[i + 1] + len(back[i])
     image = [-1] * g.n
 
-    def place(i, used, red):
-        if red > hi or red + remaining_after[i] < lo:
+    def place(i, used, reds):
+        if reds > hi or reds + remaining_after[i] < lo:
             return None
         if i == g.n:
-            return BalancedCopy(tuple(image), red)
+            return BalancedCopy(tuple(image), reds)
         v = order[i]
-        for w in range(c.n):
+        for w in range(red.n):
             if used >> w & 1:
                 continue
-            gained = sum(c.is_red(image[u], w) for u in back[i])
+            gained = sum(red.has_edge(image[u], w) for u in back[i])
             image[v] = w
-            found = place(i + 1, used | 1 << w, red + gained)
+            found = place(i + 1, used | 1 << w, reds + gained)
             if found is not None:
                 return found
             image[v] = -1
@@ -181,11 +146,11 @@ def test_red_rows_backtracker_matches_reference():
             half = rng.randrange(1 << slots)
             # a sparse coloring leaves some patterns without a balanced copy
             sparse = half & rng.randrange(1 << slots) & rng.randrange(1 << slots)
-            for coloring in (Coloring(n, half), Coloring(n, sparse)):
+            for red in (red_graph(n, half), red_graph(n, sparse)):
                 for g in patterns:
                     if g.n <= n:
-                        found = find_balanced_copy(coloring, g)
-                        assert found == reference_find_balanced_copy(coloring, g)
+                        found = find_balanced_copy(red, g)
+                        assert found == reference_find_balanced_copy(red, g)
                         misses += found is None
     assert misses > 0
 
@@ -209,14 +174,26 @@ def test_canonical_code_ignores_labels():
     for n in range(1, 9):
         slots = n * (n - 1) // 2
         for _ in range(60):
-            rows = _red_rows(n, rng.randrange(1 << slots))
-            code = _canonical(n, rows)
+            rows = red_graph(n, rng.randrange(1 << slots)).adj
+            code = _canonical(rows)
             perm = list(range(n))
             rng.shuffle(perm)
-            assert _canonical(n, relabeled(rows, perm)) == code
+            assert _canonical(relabeled(rows, perm)) == code
             # the code's own red graph is its class representative
-            assert _canonical(n, _red_rows(n, code)) == code
+            assert _canonical(red_graph(n, code).adj) == code
             assert code.bit_count() == sum(row.bit_count() for row in rows) // 2
+
+
+def test_class_graphs_are_fixed_points():
+    rng = random.Random(41)
+    for n in range(1, BAL_ORDER_LIMIT + 1):
+        for red in _classes(n):
+            code = _canonical(red.adj)
+            assert red == red_graph(n, code)
+            assert red.m == code.bit_count()
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert _canonical(relabeled(red.adj, perm)) == code
 
 
 def small_patterns(max_order):
@@ -239,8 +216,9 @@ def small_patterns(max_order):
 def reference_bal_number(n, g):
     """Every coloring of K_n against every placement of g's edge set."""
     lo, hi = half_edge_targets(g.m)
+    slot = {pair: i for i, pair in enumerate(itertools.combinations(range(n), 2))}
     placements = {
-        sum(1 << edge_slot(n, image[u], image[v]) for u, v in g.edges())
+        sum(1 << slot[min(image[u], image[v]), max(image[u], image[v])] for u, v in g.edges())
         for image in itertools.permutations(range(n), g.n)
     }
     slots = n * (n - 1) // 2
