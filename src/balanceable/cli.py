@@ -8,9 +8,10 @@ key of ``REPORT_KEYS`` under --json (unset keys null), else its text lines.
 ``_print_table``, and ``family-table`` and ``verify`` walk the same
 ``(k, ell)`` range, ``_chorded_sweep``.
 
-Exit codes: 0 on success, 1 on parameter errors (bad specs, bad files,
-bad flag values), 2 when a search budget was exhausted before an answer
-was reached.
+Exit codes: 0 on success (also when the reader closes stdout early, which
+drops the rest of the output silently), 1 on parameter errors (bad specs,
+bad files, bad flag values), 2 when a search budget was exhausted before
+an answer was reached.
 """
 
 from __future__ import annotations
@@ -348,7 +349,14 @@ def run_cli(argv=None) -> int:
             return EXIT_PARAMS
         args.budget = 1 << args.budget
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head -1`): drop the rest, and
+        # point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except BudgetExceeded as exc:
         print(f"balanceable: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

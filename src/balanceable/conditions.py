@@ -10,7 +10,9 @@ Positive conditions hand back a witness vertex set:
 
 Negative conditions are parity arguments: with all degrees even every cut
 is even, so an even m with odd m/2 is unreachable; for regular graphs the
-same test depends on (d, n) alone.
+same test depends on (d, n) alone.  The independent-set search uses one
+too: every independent set's degree sum is a multiple of the gcd of the
+degrees, so a target the gcd does not divide is refused without searching.
 
 Every report keeps the invariant: it carries a witness exactly when its
 outcome is implies-balanceable.  These checks are advisory shortcuts;
@@ -20,6 +22,7 @@ the exhaustive oracle stays the ground truth.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .graphs import Graph, VertexSet, bipartition
@@ -52,12 +55,19 @@ def independent_degree_sum(
     before it; a dead end pops the newest frame and resumes at its exclude
     branch, so there is no depth limit.  Raises BudgetExceeded on the node
     after ``node_budget``.
+
+    A positive target that the gcd of the degrees does not divide (every
+    positive target, on a graph without edges) returns None before the
+    first node: no independent set's degree sum can reach it.
     """
     if target < 0:
         raise ValueError("target must be nonnegative")
     if target == 0:
         return VertexSet(g.n, 0)
     n, adj, degs = g.n, g.adj, g.degrees()
+    step = math.gcd(*degs)  # 0 on an edgeless graph, which reaches no positive target
+    if step == 0 or target % step:
+        return None
     suffix = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
         suffix[v] = suffix[v + 1] + degs[v]

@@ -143,13 +143,11 @@ def tri_grid(h: int) -> Graph:
         raise ValueError("side length must be positive")
     edges = []
     for row in range(1, h + 1):
-        for pos in range(1, row + 1):
-            v = tri_vertex(row, pos)
-            if pos < row:
-                edges.append((v, tri_vertex(row, pos + 1)))
-            if row < h:
-                edges.append((v, tri_vertex(row + 1, pos)))
-                edges.append((v, tri_vertex(row + 1, pos + 1)))
+        labels = range(tri_vertex(row, 1), tri_vertex(row + 1, 1))
+        edges += [(v, v + 1) for v in labels[:-1]]
+        if row < h:  # v = (row, pos) lies above (row + 1, pos) = v + row and v + row + 1
+            edges += [(v, v + row) for v in labels]
+            edges += [(v, v + row + 1) for v in labels]
     return Graph(h * (h + 1) // 2, edges)
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import balanceable
 from balanceable import cycle, decide_balanceable, format_edge_list, graph_from_spec
 from balanceable.cli import run_cli
 
@@ -225,9 +229,19 @@ def test_spec_wins_over_a_file_of_the_same_name(tmp_path, monkeypatch, capsys):
 
 
 def test_conditions_deep_chorded_cycle(capsys):
+    # 4-regular, so no independent set reaches the target 1002 = 2 mod 4
     code, out, _ = run(capsys, "conditions", "chorded:1002,7", "--budget", "18")
     assert code == 0
-    assert "DegreeHalfEdges: inapplicable; independent-set search exhausted its budget of 262144" in out
+    assert "DegreeHalfEdges: inapplicable; no independent set reaches degree sum 1002" in out
+
+
+def test_conditions_witness_deeper_than_the_recursion_limit(capsys):
+    # the first witness is every other vertex 0..1000, so the search is
+    # 1001 vertices deep with 501 frames on its stack
+    code, out, _ = run(capsys, "conditions", "chorded:2004,7", "--budget", "18")
+    assert code == 0
+    evens = ", ".join(str(v) for v in range(0, 1001, 2))
+    assert f"DegreeHalfEdges: implies-balanceable; independent set [{evens}] has degree sum in 2004" in out
 
 
 REPORT_KEYS = {
@@ -328,3 +342,24 @@ def test_rect_grid_table_text(capsys):
         "3  3    Balanceable  rect-odd-one-corner  6",
         "4  4    Balanceable  rect-even            12",
     ]
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that closes stdout early (`| head -1`) drops the rest of the
+    output: no error line, no traceback, exit 0."""
+    src = os.path.dirname(os.path.dirname(balanceable.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the first write, so every write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "balanceable.cli", "witness", "chorded:400,5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -69,13 +70,18 @@ def test_independent_degree_sum_budget():
         independent_degree_sum(g, g.m // 2, node_budget=3)
 
 
-def recursive_independent_degree_sum(g, target, node_budget):
+def recursive_independent_degree_sum(g, target, node_budget, *, gcd_check=True):
     """The recursive search that independent_degree_sum replaced, kept as
     the reference for its node order.  Returns (witness indices or None,
-    nodes visited), or raises BudgetExceeded on the node after the budget."""
+    nodes visited), or raises BudgetExceeded on the node after the budget.
+    With ``gcd_check`` it refuses, as independent_degree_sum does, a target
+    that the gcd of the degrees does not divide, before visiting a node."""
     if target == 0:
         return (), 0
     n, adj, degs = g.n, g.adj, g.degrees()
+    step = math.gcd(*degs)
+    if gcd_check and (step == 0 or target % step):
+        return None, 0
     suffix = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
         suffix[v] = suffix[v + 1] + degs[v]
@@ -134,6 +140,34 @@ def test_independent_degree_sum_matches_recursive_search():
             if nodes:
                 short = _stack_result(g, target, nodes - 1)
                 assert short == f"independent-set search exhausted its budget of {nodes - 1}"
+
+
+def test_gcd_rule_matches_unpruned_search():
+    """Refusing targets the gcd of the degrees does not divide changes no
+    answer of the search run to completion: all-even-degree graphs, n = 0
+    and edgeless graphs included, none of which may divide by zero."""
+    rng = random.Random(20261020)
+    graphs = [Graph(0), Graph(1), Graph(7), cycle(6), complete(5), chorded_cycle(10, 5)]
+    for _ in range(300):
+        n = rng.randrange(0, 13)
+        p = rng.choice((0.0, 0.2, 0.5, 0.8))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        graphs.append(g)
+        # the even-degree part: drop every edge at an odd-degree vertex
+        odd = [v for v in range(n) if g.degree(v) % 2]
+        graphs.append(Graph(n, [(u, v) for u, v in g.edges() if u not in odd and v not in odd]))
+    for g in graphs:
+        for target in range(sum(g.degrees()) + 3):
+            want, _ = recursive_independent_degree_sum(g, target, 1 << 40, gcd_check=False)
+            got = independent_degree_sum(g, target)
+            assert (got if got is None else got.indices()) == want, (g.n, g.adj, target)
+
+
+def test_gcd_rule_needs_no_budget():
+    """Targets the gcd blocks return None before the first node is spent."""
+    assert independent_degree_sum(cycle(1002), 501, node_budget=1) is None  # gcd 2
+    assert independent_degree_sum(chorded_cycle(399, 5), 399, node_budget=1) is None  # gcd 4
+    assert independent_degree_sum(Graph(5), 1, node_budget=0) is None  # gcd 0
 
 
 @pytest.mark.parametrize("spec", ["chorded:1002,7", "cycle:1002", "wheel:1101", "tri:47"])

@@ -144,6 +144,26 @@ def test_tri_grid_structure():
     assert h.degree(tri_vertex(3, 2)) == 6
 
 
+def test_tri_grid_matches_per_vertex_labels():
+    """tri_grid labels each row once; its rows are those of the loop that
+    called tri_vertex for every vertex and each of its neighbours.  Every
+    h <= 64, then sizes up to 200 (building all of them takes seconds)."""
+    for h in [*range(1, 65), 99, 100, 160, 197, 200]:
+        g = tri_grid(h)
+        assert g.n == h * (h + 1) // 2
+        nbrs = [set() for _ in range(g.n)]
+        for row in range(1, h + 1):
+            for pos in range(1, row + 1):
+                v = tri_vertex(row, pos)
+                below = [tri_vertex(row + 1, pos), tri_vertex(row + 1, pos + 1)] if row < h else []
+                right = [tri_vertex(row, pos + 1)] if pos < row else []
+                for w in right + below:
+                    nbrs[v].add(w)
+                    nbrs[w].add(v)
+        for v, bits in enumerate(g.adj):  # equal ints: same count, every neighbour set
+            assert bits.bit_count() == len(nbrs[v]) and all(bits >> w & 1 for w in nbrs[v]), (h, v)
+
+
 @pytest.mark.parametrize(
     "spec,n,m",
     [

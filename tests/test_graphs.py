@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from balanceable import (
@@ -13,6 +15,7 @@ from balanceable import (
     parse_edge_list,
     star,
 )
+from balanceable.graphs import _iter_bits
 
 
 def test_degrees_and_edge_count():
@@ -132,3 +135,28 @@ def test_graph_equality_and_hash():
     assert cycle(4) == Graph(4, [(2, 3), (0, 1), (1, 2), (0, 3)])
     assert hash(cycle(4)) == hash(Graph(4, [(0, 3), (0, 1), (1, 2), (2, 3)]))
     assert cycle(4) != cycle(5)
+
+
+def lowest_bit_walk(mask):
+    """Reference walk: clear the lowest set bit, one step per set bit."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def test_iter_bits_matches_lowest_bit_walk():
+    rng = random.Random(20261020)
+    masks = list(range(1 << 10))
+    for width in (63, 64, 65, 200):
+        masks += [1 << (width - 1), (1 << width) - 1, rng.getrandbits(width) | 1 << (width - 1)]
+        for ones in (32, 33):  # either side of the set-bit count that picks the walk
+            masks.append(sum(1 << v for v in rng.sample(range(width - 1), ones - 1)) | 1 << (width - 1))
+    for _ in range(3):
+        masks.append(rng.getrandbits(20000))  # dense
+        for ones in range(1, 6):
+            masks.append(sum(1 << v for v in rng.sample(range(20000), ones)))
+    for mask in masks:
+        got = list(_iter_bits(mask))
+        assert got == list(lowest_bit_walk(mask)), mask
+        assert got == sorted(set(got)) and len(got) == mask.bit_count()
