@@ -1,10 +1,12 @@
-"""Dense bitset graphs and the edge-counting primitives everything else uses.
+"""Graphs and vertex sets, and the edge-counting primitives everything else uses.
 
-Vertices are integers ``0..n-1``.  Adjacency is stored as one Python int per
-vertex with bit ``v`` set when the row's vertex is adjacent to ``v``;
-arbitrary-precision ints keep the layout uniform past 64 vertices.  Graph and
-VertexSet are immutable value types, so they can be shared freely between
-threads and used as cache keys.
+Vertices are integers ``0..n-1``.  A graph of at most ``DENSE_LIMIT``
+vertices stores one Python int per vertex with bit ``v`` set when the row's
+vertex is adjacent to ``v``, the form the subset scans read.  A larger graph
+stores one sorted tuple of neighbours per vertex, so building, counting and
+walking it take O(n + m) time and memory; ``Graph.adj`` builds its rows on
+first use.  Graph and VertexSet are immutable value types, so they can be
+shared freely between threads and used as cache keys.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ __all__ = [
     "parse_edge_list",
     "format_edge_list",
 ]
+
+# Largest order stored as bitset rows: near it, building and checking a
+# closed-form witness costs the same in both forms.
+DENSE_LIMIT = 8192
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -50,29 +56,48 @@ def _iter_bits(mask: int) -> Iterator[int]:
         i = bits.find("1", i + 1)
 
 
+def _neighbour_tuples(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples of the graph on ``n`` vertices with these
+    edges, a repeated edge counted once; edges are checked as Graph checks them."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(map(tuple, map(sorted, map(set, nbrs))))
+
+
 class Graph:
     """Simple undirected graph over vertices ``0..n-1``."""
 
-    __slots__ = ("n", "adj", "m", "_degrees")
+    __slots__ = ("n", "m", "_rows", "_nbrs", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        rows = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+        if n > DENSE_LIMIT:
+            self._rows, self._nbrs = None, _neighbour_tuples(n, edges)
+            self._degrees = tuple(map(len, self._nbrs))
+        else:
+            rows = [0] * n
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            self._rows, self._nbrs = tuple(rows), None
+            self._degrees = tuple(r.bit_count() for r in rows)
         self.n = n
-        self.adj = tuple(rows)
-        self._degrees = tuple(r.bit_count() for r in rows)
         self.m = sum(self._degrees) // 2
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "Graph":
+        """The graph with these bitset rows, stored as rows at any order."""
         rows = tuple(rows)
         g = object.__new__(cls)
         g.n = len(rows)
@@ -84,10 +109,24 @@ class Graph:
             for u in _iter_bits(row):
                 if not rows[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        g.adj = rows
+        g._rows = rows
+        g._nbrs = None
         g._degrees = tuple(r.bit_count() for r in rows)
         g.m = sum(g._degrees) // 2
         return g
+
+    @property
+    def adj(self) -> tuple[int, ...]:
+        """One int per vertex with bit ``v`` set for each neighbour ``v``;
+        a graph stored as neighbour tuples builds them on first use."""
+        if self._rows is None:
+            self._rows = tuple(sum(1 << v for v in nbrs) for nbrs in self._nbrs)
+        return self._rows
+
+    def _tuples(self) -> tuple[tuple[int, ...], ...]:
+        if self._nbrs is not None:
+            return self._nbrs
+        return tuple(tuple(_iter_bits(row)) for row in self._rows)
 
     def degree(self, v: int) -> int:
         return self._degrees[v]
@@ -96,21 +135,34 @@ class Graph:
         return self._degrees
 
     def neighbors(self, v: int) -> Iterator[int]:
-        return _iter_bits(self.adj[v])
+        if self._nbrs is not None:
+            return iter(self._nbrs[v])
+        return _iter_bits(self._rows[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        if self._nbrs is not None:
+            return v in self._nbrs[u]
+        return bool(self._rows[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
-            for v in _iter_bits(self.adj[u] >> (u + 1) << (u + 1)):
+            if self._nbrs is not None:
+                above = (v for v in self._nbrs[u] if v > u)
+            else:
+                above = _iter_bits(self._rows[u] >> (u + 1) << (u + 1))
+            for v in above:
                 yield (u, v)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self.adj == other.adj
+        if not isinstance(other, Graph):
+            return False
+        if self._nbrs is None and other._nbrs is None:
+            return self._rows == other._rows
+        return self._tuples() == other._tuples()
 
     def __hash__(self) -> int:
-        return hash(self.adj)
+        # by order, not by stored form, so that equal graphs hash alike
+        return hash(self._rows if self.n <= DENSE_LIMIT else self._tuples())
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -131,6 +183,15 @@ class VertexSet:
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "VertexSet":
+        """The set of ``indices``; past 64 vertices they are written as the
+        digits of one base-2 string, so a wide set costs time linear in n."""
+        if n > 64:
+            digits = bytearray(b"0") * n
+            for v in indices:
+                if not 0 <= v < n:
+                    raise ValueError(f"vertex {v} out of range for n={n}")
+                digits[n - 1 - v] = 49  # ord("1")
+            return cls(n, int(digits, 2))
         mask = 0
         for v in indices:
             if not 0 <= v < n:
@@ -162,16 +223,21 @@ def _check_owner(g: Graph, s: VertexSet) -> None:
 def e_cut(g: Graph, x: VertexSet) -> int:
     """Number of edges with exactly one endpoint in ``x``."""
     _check_owner(g, x)
+    if g._nbrs is not None:
+        return sum(g.degree(v) for v in x) - 2 * e_induced(g, x)
     outside = (1 << g.n) - 1 ^ x.mask
-    adj = g.adj
+    adj = g._rows
     return sum((adj[v] & outside).bit_count() for v in _iter_bits(x.mask))
 
 
 def e_induced(g: Graph, w: VertexSet) -> int:
     """Number of edges with both endpoints in ``w``."""
     _check_owner(g, w)
+    if g._nbrs is not None:
+        members = set(w)
+        return sum(len(members.intersection(g._nbrs[v])) for v in members) // 2
     inside = w.mask
-    adj = g.adj
+    adj = g._rows
     return sum((adj[v] & inside).bit_count() for v in _iter_bits(inside)) // 2
 
 
@@ -179,11 +245,27 @@ def bipartition(g: Graph) -> VertexSet | None:
     """The side of a proper 2-colouring that holds each component's smallest
     vertex, or None when ``g`` has an odd cycle.
 
-    Each component is walked in breadth-first layers of bitmasks from its
-    smallest vertex; the even layers form the side.  An edge inside a layer
-    closes an odd cycle.
+    Each component is walked breadth first from its smallest vertex; the
+    even layers form the side.  An edge inside a layer closes an odd cycle.
+    Bitset rows are walked a whole layer at a time, neighbour tuples one
+    vertex at a time.
     """
-    adj = g.adj
+    if g._nbrs is not None:
+        colour = [-1] * g.n
+        for root in range(g.n):
+            if colour[root] >= 0:
+                continue
+            colour[root] = 0
+            queue = [root]
+            for v in queue:  # the walk appends to the list it reads
+                for u in g._nbrs[v]:
+                    if colour[u] < 0:
+                        colour[u] = colour[v] ^ 1
+                        queue.append(u)
+                    elif colour[u] == colour[v]:
+                        return None
+        return VertexSet.from_indices(g.n, [v for v in range(g.n) if colour[v] == 0])
+    adj = g._rows
     unseen = (1 << g.n) - 1
     side = 0
     while unseen:

@@ -61,11 +61,9 @@ class ConstructionResult:
         return self.verdict.witness
 
 
-def _closed_neighborhood(g: Graph, vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= g.adj[v] | 1 << v
-    return mask
+def _closed_neighborhood(k: int, ell: int, vertices: Iterable[int]) -> set[int]:
+    """``vertices`` and their neighbours in C_k(1, ell), by arithmetic mod k."""
+    return {(v + d) % k for v in vertices for d in (0, 1, -1, ell, -ell)}
 
 
 def _checked(
@@ -133,7 +131,7 @@ def _obstructed(
     return ConstructionResult(g, case_id, Verdict.not_balanceable(obstruction), None, notes)
 
 
-def _spread_runs(run: int, count: int, forbidden: int, limit: int) -> list[int]:
+def _spread_runs(run: int, count: int, forbidden: set[int], limit: int) -> list[int]:
     """Greedy positions: runs of ``run`` picks 2 apart, then a gap of 3.
 
     A forbidden position shifts the scan forward by one and starts a fresh
@@ -147,7 +145,7 @@ def _spread_runs(run: int, count: int, forbidden: int, limit: int) -> list[int]:
             raise ConstructionBug(
                 f"spread scan past {limit} with only {len(picks)}/{count} picks"
             )
-        if forbidden >> pos & 1:
+        if pos in forbidden:
             pos += 1
             in_run = 0
             continue
@@ -161,8 +159,8 @@ def _spread_runs(run: int, count: int, forbidden: int, limit: int) -> list[int]:
     return picks
 
 
-def _evens_outside(k: int, blocked: int, count: int, case_id: str) -> list[int]:
-    picked = [v for v in range(0, k, 2) if not blocked >> v & 1][:count]
+def _evens_outside(k: int, blocked: set[int], count: int, case_id: str) -> list[int]:
+    picked = [v for v in range(0, k, 2) if v not in blocked][:count]
     if len(picked) < count:
         raise ConstructionBug(f"{case_id}: only {len(picked)}/{count} free even vertices")
     return picked
@@ -228,7 +226,7 @@ def _circulant_cases(g: Graph) -> ConstructionResult:
                 f"{a} vertices of one bipartition class",
             )
         b = ell // 2
-        ind = _spread_runs(b, a, 0, k - ell)
+        ind = _spread_runs(b, a, set(), k - ell)
         return _via_independent_set(
             g,
             "0mod4-even-chord",
@@ -238,14 +236,14 @@ def _circulant_cases(g: Graph) -> ConstructionResult:
 
     # k = 4a + 2 from here on
     if ell % 2:
-        blocked = _closed_neighborhood(g, (0, 1))
+        blocked = _closed_neighborhood(k, ell, (0, 1))
         x = [0, 1] + _evens_outside(k, blocked, a - 1, "2mod4-odd-chord")
         if k == 10:
             w = list(range(7))
             notes = "adjacent pair plus free evens; compact prefix induced set"
         else:
             removed = [0, 1, 5, 6] if ell == 3 else [0, 1, 3, 4]
-            blocked_w = _closed_neighborhood(g, removed)
+            blocked_w = _closed_neighborhood(k, ell, removed)
             removed += _evens_outside(k, blocked_w, a - 3, "2mod4-odd-chord")
             out = set(removed)
             w = [v for v in range(k) if v not in out]
@@ -273,14 +271,14 @@ def _circulant_cases(g: Graph) -> ConstructionResult:
 
     b = ell // 2
     pair_x = [4 * a - 1, 4 * a]
-    x = _spread_runs(b, a - 1, _closed_neighborhood(g, pair_x), k) + pair_x
+    x = _spread_runs(b, a - 1, _closed_neighborhood(k, ell, pair_x), k) + pair_x
     if k == 10:
         w = [0, 1, 2, 4, 5, 6, 8]
         notes = "spread picks plus one adjacent pair; compact induced set"
     else:
         pair_v2 = [4 * a - 7, 4 * a - 6] if ell == 4 else [4 * a - 4, 4 * a - 3]
         removed = pair_v2 + pair_x
-        v1 = _spread_runs(b, a - 3, _closed_neighborhood(g, removed), k)
+        v1 = _spread_runs(b, a - 3, _closed_neighborhood(k, ell, removed), k)
         out = set(removed) | set(v1)
         w = [v for v in range(k) if v not in out]
         notes = (

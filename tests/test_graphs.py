@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 
 import pytest
 
@@ -6,16 +8,25 @@ from balanceable import (
     Graph,
     VertexSet,
     bipartition,
+    chorded_cycle,
     complete,
     cycle,
+    decide_balanceable,
     disjoint_union,
     e_cut,
     e_induced,
     format_edge_list,
+    graph_from_spec,
+    moebius,
     parse_edge_list,
+    parse_family_spec,
+    rect_grid,
     star,
+    tri_grid,
+    witness_for_spec,
 )
-from balanceable.graphs import _iter_bits
+from balanceable import graphs
+from balanceable.graphs import DENSE_LIMIT, _iter_bits
 
 
 def test_degrees_and_edge_count():
@@ -160,3 +171,103 @@ def test_iter_bits_matches_lowest_bit_walk():
         got = list(_iter_bits(mask))
         assert got == list(lowest_bit_walk(mask)), mask
         assert got == sorted(set(got)) and len(got) == mask.bit_count()
+
+
+ABOVE = DENSE_LIMIT + 1
+
+
+def bitset_rows(n, edges):
+    """Reference rows: one int per vertex, each edge ORed in at both ends."""
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def just_above_limit():
+    """Graphs of a few vertices more than DENSE_LIMIT, as (n, edges): seeded
+    random sparse graphs, some with repeated edges in either orientation,
+    and family graphs with their edges."""
+    rng = random.Random(19)
+    cases = []
+    for extra, degree in ((1, 0), (1, 3), (7, 4), (40, 9)):
+        n = DENSE_LIMIT + extra
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(n * degree // 2)]
+        edges += [(v, u) for u, v in rng.sample(edges, min(len(edges), 25))]
+        cases.append(pytest.param(n, edges, id=f"random-degree-{degree}"))
+    for name, g in (
+        ("cycle", cycle(ABOVE)),
+        ("chorded", chorded_cycle(DENSE_LIMIT + 2, 7)),
+        ("moebius", moebius(DENSE_LIMIT + 2)),
+        ("grid", rect_grid(65, 127)),
+        ("tri", tri_grid(128)),
+    ):
+        cases.append(pytest.param(g.n, list(g.edges()), id=name))
+    return cases
+
+
+@pytest.mark.parametrize("n, edges", just_above_limit())
+def test_sparse_and_dense_forms_agree(n, edges):
+    sparse = Graph(n, edges)
+    dense = Graph.from_rows(bitset_rows(n, edges))
+    assert sparse._nbrs is not None and dense._nbrs is None
+    assert sparse.m == dense.m == len({frozenset(e) for e in edges})
+    assert sparse.degrees() == dense.degrees()
+    assert list(sparse.edges()) == list(dense.edges())
+    for v in range(n):
+        assert list(sparse.neighbors(v)) == list(dense.neighbors(v))
+    rng = random.Random(n)
+    for mask in (0, (1 << n) - 1, 1 << n - 1, *(rng.getrandbits(n) for _ in range(3))):
+        x = VertexSet(n, mask)
+        assert e_cut(sparse, x) == e_cut(dense, x)
+        assert e_induced(sparse, x) == e_induced(dense, x)
+    assert bipartition(sparse) == bipartition(dense)
+    assert sparse == dense and dense == sparse and hash(sparse) == hash(dense)
+    assert sparse.adj == dense.adj
+    assert sparse == dense and hash(sparse) == hash(dense)  # also once the rows exist
+
+
+def test_sparse_form_counts_repeated_edges_once():
+    g = Graph(ABOVE, [(0, 1), (1, 0), (0, 1), (2, 3)])
+    assert g.m == 2 and g.degrees()[:4] == (1, 1, 1, 1)
+    assert list(g.edges()) == [(0, 1), (2, 3)]
+    with pytest.raises(ValueError, match="duplicate edges in input"):
+        parse_edge_list(f"{ABOVE} 2\n0 1\n0 1\n")
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (5, -1), (2, 2)], f"edge (5,-1) out of range for n={ABOVE}"),
+        ([(0, 1), (ABOVE, 0)], f"edge ({ABOVE},0) out of range for n={ABOVE}"),
+        ([(0, 1), (3, 3), (0, ABOVE)], "self-loop at vertex 3"),
+    ],
+)
+def test_sparse_form_raises_the_dense_forms_first_error(monkeypatch, edges, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Graph(ABOVE, edges)
+    monkeypatch.setattr(graphs, "DENSE_LIMIT", ABOVE)  # the same graph stored as rows
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Graph(ABOVE, edges)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: witness_for_spec(parse_family_spec("chorded:20002,5001")),
+        lambda: witness_for_spec(parse_family_spec("grid:150x150")),
+        lambda: decide_balanceable(graph_from_spec("tri:204")),
+    ],
+    ids=["witness chorded:20002,5001", "witness grid:150x150", "decide tri:204"],
+)
+def test_large_witness_and_parity_paths_build_no_bitset_rows(run):
+    # bitset rows for 20,000 vertices take about 50 MB: these paths must not
+    # build them
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -65,13 +65,13 @@ def test_ell_above_half_mirrors():
 
 
 def test_spread_runs_reference_patterns():
-    assert _spread_runs(4, 10, 0, 32) == [0, 2, 4, 6, 9, 11, 13, 15, 18, 20]
-    assert _spread_runs(4, 8, 0, 24) == [0, 2, 4, 6, 9, 11, 13, 15]
+    assert _spread_runs(4, 10, set(), 32) == [0, 2, 4, 6, 9, 11, 13, 15, 18, 20]
+    assert _spread_runs(4, 8, set(), 24) == [0, 2, 4, 6, 9, 11, 13, 15]
 
 
 def test_spread_runs_skips_forbidden():
     # a forbidden slot pushes the scan forward and restarts the run count
-    picks = _spread_runs(2, 3, 0b100, 12)
+    picks = _spread_runs(2, 3, {2}, 12)
     assert 2 not in picks
     assert len(picks) == 3
     assert picks == sorted(set(picks))
