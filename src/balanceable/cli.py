@@ -10,8 +10,9 @@ key of ``REPORT_KEYS`` under --json (unset keys null), else its text lines.
 
 Exit codes: 0 on success (also when the reader closes stdout early, which
 drops the rest of the output silently), 1 on parameter errors (bad specs,
-bad files, bad flag values), 2 when a search budget was exhausted before
-an answer was reached.
+bad files, bad flag values) and when ``verify`` finds a construction that
+disagrees with the oracle, 2 when a search budget was exhausted before an
+answer was reached.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Graphs and vertex sets, and the edge-counting primitives everything else uses.
 
-Vertices are integers ``0..n-1``.  A graph of at most ``DENSE_LIMIT``
-vertices stores one Python int per vertex with bit ``v`` set when the row's
-vertex is adjacent to ``v``, the form the subset scans read.  A larger graph
-stores one sorted tuple of neighbours per vertex, so building, counting and
-walking it take O(n + m) time and memory; ``Graph.adj`` builds its rows on
-first use.  Graph and VertexSet are immutable value types, so they can be
-shared freely between threads and used as cache keys.
+Vertices are integers ``0..n-1``.  The order alone picks how a graph is
+stored, whether it was built from edges or from rows.  A graph of at most
+``DENSE_LIMIT`` vertices stores one Python int per vertex with bit ``v`` set
+when the row's vertex is adjacent to ``v``, the form the subset scans read.
+A larger graph stores one sorted tuple of neighbours per vertex, so
+building, counting and walking it take O(n + m) time and memory;
+``Graph.adj`` builds its rows on first use.  Graph and VertexSet are
+immutable value types, so they can be shared freely between threads and
+used as cache keys.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ __all__ = [
     "e_cut",
     "e_induced",
     "bipartition",
-    "disjoint_union",
     "parse_edge_list",
     "format_edge_list",
 ]
@@ -97,23 +98,22 @@ class Graph:
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "Graph":
-        """The graph with these bitset rows, stored as rows at any order."""
+        """The graph with these bitset rows; like any graph, it is stored by
+        its order, as rows or as neighbour tuples."""
         rows = tuple(rows)
-        g = object.__new__(cls)
-        g.n = len(rows)
+        n = len(rows)
+        edges = []
         for v, row in enumerate(rows):
-            if row >> g.n:
-                raise ValueError(f"row {v} references vertices beyond n={g.n}")
+            if row >> n:
+                raise ValueError(f"row {v} references vertices beyond n={n}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
             for u in _iter_bits(row):
                 if not rows[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        g._rows = rows
-        g._nbrs = None
-        g._degrees = tuple(r.bit_count() for r in rows)
-        g.m = sum(g._degrees) // 2
-        return g
+                if u > v:  # each edge once
+                    edges.append((v, u))
+        return cls(n, edges)
 
     @property
     def adj(self) -> tuple[int, ...]:
@@ -122,11 +122,6 @@ class Graph:
         if self._rows is None:
             self._rows = tuple(sum(1 << v for v in nbrs) for nbrs in self._nbrs)
         return self._rows
-
-    def _tuples(self) -> tuple[tuple[int, ...], ...]:
-        if self._nbrs is not None:
-            return self._nbrs
-        return tuple(tuple(_iter_bits(row)) for row in self._rows)
 
     def degree(self, v: int) -> int:
         return self._degrees[v]
@@ -156,13 +151,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return False
-        if self._nbrs is None and other._nbrs is None:
-            return self._rows == other._rows
-        return self._tuples() == other._tuples()
+        return (self._nbrs or self._rows) == (other._nbrs or other._rows)
 
     def __hash__(self) -> int:
-        # by order, not by stored form, so that equal graphs hash alike
-        return hash(self._rows if self.n <= DENSE_LIMIT else self._tuples())
+        return hash(self._nbrs or self._rows)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -183,21 +175,14 @@ class VertexSet:
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "VertexSet":
-        """The set of ``indices``; past 64 vertices they are written as the
-        digits of one base-2 string, so a wide set costs time linear in n."""
-        if n > 64:
-            digits = bytearray(b"0") * n
-            for v in indices:
-                if not 0 <= v < n:
-                    raise ValueError(f"vertex {v} out of range for n={n}")
-                digits[n - 1 - v] = 49  # ord("1")
-            return cls(n, int(digits, 2))
-        mask = 0
+        """The set of ``indices``, written as the digits of one base-2
+        string, so a wide set costs time linear in n."""
+        digits = bytearray(b"0") * (n + 1)  # the leading 0 keeps n = 0 parseable
         for v in indices:
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} out of range for n={n}")
-            mask |= 1 << v
-        return cls(n, mask)
+            digits[n - v] = 49  # ord("1")
+        return cls(n, int(digits, 2))
 
     def indices(self) -> tuple[int, ...]:
         return tuple(_iter_bits(self.mask))
@@ -221,13 +206,10 @@ def _check_owner(g: Graph, s: VertexSet) -> None:
 
 
 def e_cut(g: Graph, x: VertexSet) -> int:
-    """Number of edges with exactly one endpoint in ``x``."""
+    """Number of edges with exactly one endpoint in ``x``: the degree sum
+    of ``x`` counts each edge inside it twice."""
     _check_owner(g, x)
-    if g._nbrs is not None:
-        return sum(g.degree(v) for v in x) - 2 * e_induced(g, x)
-    outside = (1 << g.n) - 1 ^ x.mask
-    adj = g._rows
-    return sum((adj[v] & outside).bit_count() for v in _iter_bits(x.mask))
+    return sum(g.degree(v) for v in x) - 2 * e_induced(g, x)
 
 
 def e_induced(g: Graph, w: VertexSet) -> int:
@@ -283,12 +265,6 @@ def bipartition(g: Graph) -> VertexSet | None:
             layer = reach & unseen
             even = not even
     return VertexSet(g.n, side)
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """The graph on ``g.n + h.n`` vertices with ``h`` relabeled above ``g``."""
-    rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph.from_rows(rows)
 
 
 def parse_edge_list(text: str) -> Graph:

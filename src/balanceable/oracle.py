@@ -58,17 +58,24 @@ def half_edge_targets(m: int) -> tuple[int, int]:
     return m // 2, (m + 1) // 2
 
 
-def _scan(adj, gain, sign, low, x, score, targets, budget, scan, collect=False):
-    """The subset scan behind every search: the sets x | S, S a subset of
-    the vertices low..n-1, in ascending mask order.
+def _scan(adj, cut, targets, budget, scan, collect=False):
+    """The subset scan behind every search, over the cut sides X that hold
+    vertex 0 when ``cut`` is set, else over the induced sets W, in
+    ascending mask order.
 
-    Vertex v joining the set changes its score by gain[v] + sign * |N(v) & X|;
+    Vertex v joining the set changes its score by gain[v] + sign * |N(v) & X|:
     (deg, -2) counts crossing edges of a cut, (0, +1) induced edges.
     ``targets`` is a bitmask of scores.  Returns the first set whose score
     is a target (None if none), or with ``collect`` the targets reached.
-    The first set is free, then each one costs a unit of ``budget``; a scan
-    cut short by it raises BudgetExceeded.
+    A scan visits at most max(``budget``, 1) sets; one cut short by that
+    raises BudgetExceeded.
     """
+    if cut:  # vertex 0 stays inside X, so the scan walks X = 1 | (s << 1)
+        gain = [row.bit_count() for row in adj]
+        sign, low, x, score = -2, 1, 1, gain[0]
+    else:
+        gain = (0,) * len(adj)
+        sign, low, x, score = 1, 0, 0, 0
     space = 1 << (len(adj) - low)
     stop = min(space, max(budget, 1))
     # the lowest free vertex is tested inline: each counter step over the
@@ -106,16 +113,14 @@ def find_half_cut(g: Graph, *, budget: int = DEFAULT_BUDGET) -> VertexSet | None
     lo, hi = half_edge_targets(g.m)
     if g.n == 0:
         return VertexSet(0, 0) if lo == 0 else None
-    deg = g.degrees()
-    # vertex 0 stays inside X, so the scan walks X = 1 | (s << 1)
-    x = _scan(g.adj, deg, -2, 1, 1, deg[0], 1 << lo | 1 << hi, budget, "cut")
+    x = _scan(g.adj, True, 1 << lo | 1 << hi, budget, "cut")
     return None if x is None else VertexSet(g.n, x)
 
 
 def find_half_induced(g: Graph, *, budget: int = DEFAULT_BUDGET) -> VertexSet | None:
     """Smallest-mask W with e(G[W]) in the half band."""
     lo, hi = half_edge_targets(g.m)
-    w = _scan(g.adj, (0,) * g.n, 1, 0, 0, 0, 1 << lo | 1 << hi, budget, "induced")
+    w = _scan(g.adj, False, 1 << lo | 1 << hi, budget, "induced")
     return None if w is None else VertexSet(g.n, w)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph
+from .graphs import Graph, format_edge_list, parse_edge_list
 from .oracle import BudgetExceeded, DEFAULT_BUDGET, _scan
 
 __all__ = [
@@ -57,9 +57,8 @@ def reduce_maxcut_to_exactcut(inst: CutInstance) -> CutInstance:
 def _cut_values_of_rows(rows: tuple[int, ...]) -> int:
     """Bitmask of achievable cut sizes of one connected component: the
     oracle's cut scan over all sides, collecting every value reached."""
-    deg = [row.bit_count() for row in rows]
-    every = (1 << sum(deg) // 2 + 1) - 1
-    return _scan(rows, deg, -2, 1, 1, deg[0], every, 1 << len(rows), "component cut", True)
+    every = (1 << sum(row.bit_count() for row in rows) // 2 + 1) - 1
+    return _scan(rows, True, every, 1 << len(rows), "component cut", True)
 
 
 def _cut_value_mask(g: Graph, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -127,14 +126,10 @@ def max_cut_value(g: Graph, *, budget: int = DEFAULT_BUDGET) -> int:
 
 def format_cut_instance(inst: CutInstance) -> str:
     """Edge-list text with the cut target in a leading comment."""
-    from .graphs import format_edge_list
-
     return f"# target {inst.k}\n{format_edge_list(inst.graph)}"
 
 
 def parse_cut_instance(text: str) -> CutInstance:
-    from .graphs import parse_edge_list
-
     target = None
     for line in text.splitlines():
         token = line.strip()

@@ -12,7 +12,6 @@ from balanceable import (
     complete,
     cycle,
     decide_balanceable,
-    disjoint_union,
     e_cut,
     e_induced,
     format_edge_list,
@@ -101,16 +100,46 @@ def test_bipartition_cycle_odd():
 def test_bipartition_star():
     assert bipartition(star(3)).indices() == (0,)
     # each component's smallest vertex is on the returned side
-    two_paths = disjoint_union(star(1), Graph(3, [(1, 0), (1, 2)]))
+    two_paths = Graph(5, [(0, 1), (3, 2), (3, 4)])
     assert bipartition(two_paths).indices() == (0, 2, 4)
 
 
-def test_disjoint_union():
-    g = disjoint_union(cycle(3), star(2))
-    assert g.n == 6
-    assert g.m == 5
-    assert g.degrees() == (2, 2, 2, 2, 1, 1)
-    assert g.has_edge(0, 1) and g.has_edge(3, 4) and not g.has_edge(2, 3)
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([0b010, 0b101, 0b1010], "row 2 references vertices beyond n=3"),
+        ([0b010, 0b011, 0b000], "self-loop at vertex 1"),
+        ([0b110, 0b001, 0b000], "asymmetric adjacency between 2 and 0"),
+    ],
+)
+def test_from_rows_refuses_bad_rows(rows, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Graph.from_rows(rows)
+
+
+def or_loop(n, indices):
+    """Reference set: each index ORed into the mask."""
+    mask = 0
+    for v in indices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range for n={n}")
+        mask |= 1 << v
+    return mask
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200, 20000])
+def test_from_indices_matches_or_loop(n):
+    rng = random.Random(n)
+    lists = [[], list(range(n)), list(range(n))[::-1]]
+    if n:
+        lists += [[n - 1, 0, n - 1, 0], rng.choices(range(n), k=min(n, 50)), rng.sample(range(n), n // 2)]
+    for indices in lists:
+        assert VertexSet.from_indices(n, indices) == VertexSet(n, or_loop(n, indices))
+    for bad in ([n], [-1], [*range(n), n, -1]):  # the first bad index is named
+        with pytest.raises(ValueError) as expected:
+            or_loop(n, bad)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            VertexSet.from_indices(n, bad)
 
 
 def test_edge_list_round_trip():
@@ -208,9 +237,13 @@ def just_above_limit():
 
 
 @pytest.mark.parametrize("n, edges", just_above_limit())
-def test_sparse_and_dense_forms_agree(n, edges):
+def test_sparse_and_dense_forms_agree(monkeypatch, n, edges):
     sparse = Graph(n, edges)
-    dense = Graph.from_rows(bitset_rows(n, edges))
+    from_rows = Graph.from_rows(bitset_rows(n, edges))
+    assert from_rows._nbrs is not None  # stored by its order, as tuples
+    assert from_rows == sparse and hash(from_rows) == hash(sparse)
+    monkeypatch.setattr(graphs, "DENSE_LIMIT", n)  # the same graph stored as rows
+    dense = Graph(n, edges)
     assert sparse._nbrs is not None and dense._nbrs is None
     assert sparse.m == dense.m == len({frozenset(e) for e in edges})
     assert sparse.degrees() == dense.degrees()
@@ -223,9 +256,7 @@ def test_sparse_and_dense_forms_agree(n, edges):
         assert e_cut(sparse, x) == e_cut(dense, x)
         assert e_induced(sparse, x) == e_induced(dense, x)
     assert bipartition(sparse) == bipartition(dense)
-    assert sparse == dense and dense == sparse and hash(sparse) == hash(dense)
     assert sparse.adj == dense.adj
-    assert sparse == dense and hash(sparse) == hash(dense)  # also once the rows exist
 
 
 def test_sparse_form_counts_repeated_edges_once():
