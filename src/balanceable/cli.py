@@ -10,9 +10,13 @@ key of ``REPORT_KEYS`` under --json (unset keys null), else its text lines.
 
 Exit codes: 0 on success (also when the reader closes stdout early, which
 drops the rest of the output silently), 1 on parameter errors (bad specs,
-bad files, bad flag values) and when ``verify`` finds a construction that
-disagrees with the oracle, 2 when a search budget was exhausted before an
-answer was reached.
+bad files, bad flag values), on running out of memory, and when ``verify``
+finds a construction that disagrees with the oracle, 2 when a search budget
+was exhausted before an answer was reached.
+
+Each command imports the modules it runs inside its handler, so a process
+loads ``families``, ``graphs`` and ``oracle`` plus only what its command
+needs.
 """
 
 from __future__ import annotations
@@ -22,20 +26,14 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from .conditions import condition_reports
 from .families import graph_from_spec, parse_family_spec
 from .graphs import Graph, VertexSet, parse_edge_list
 from .oracle import BudgetExceeded, Verdict, decide_balanceable
-from .ramsey import bal_number
-from .reduction import CutInstance, format_cut_instance, reduce_maxcut_to_exactcut
-from .witnesses import (
-    ConstructionResult,
-    circulant_witness,
-    rect_grid_witness,
-    tri_grid_witness,
-    witness_for_spec,
-)
+
+if TYPE_CHECKING:
+    from .witnesses import ConstructionResult
 
 __all__ = ["run_cli", "main"]
 
@@ -130,6 +128,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_conditions(args) -> int:
+    from .conditions import condition_reports
+
     reports, elapsed = _timed(condition_reports, _load_graph(args.graph), node_budget=args.budget)
     rows = [
         {
@@ -148,6 +148,8 @@ def _cmd_conditions(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .witnesses import witness_for_spec
+
     result, elapsed = _timed(witness_for_spec, parse_family_spec(args.family))
     extras = (result.case_id, result.independent_set, result.notes)
     _emit(args, *_verdict_report(args.family, result.verdict, elapsed, *extras))
@@ -176,6 +178,8 @@ def _summary(result: ConstructionResult) -> tuple:
 def _chorded_sweep(kmax: int):
     """(k, ell, circulant_witness(k, ell)) for 4 <= k <= kmax and
     2 <= ell <= k/2, built lazily; a kmax below 4 is refused at once."""
+    from .witnesses import circulant_witness
+
     if kmax < 4:
         raise ValueError("kmax must be at least 4")
     return (
@@ -192,6 +196,8 @@ def _cmd_family_table(args) -> int:
 
 
 def _cmd_grid_table(args) -> int:
+    from .witnesses import rect_grid_witness, tri_grid_witness
+
     if args.rect is not None:
         if args.rect < 2:
             raise ValueError("kmax must be at least 2")
@@ -243,6 +249,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bal(args) -> int:
+    from .ramsey import bal_number
+
     g = graph_from_spec(args.graph)
     value = bal_number(args.n, g)
     if args.json:
@@ -255,6 +263,8 @@ def _cmd_bal(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reduction import CutInstance, format_cut_instance, reduce_maxcut_to_exactcut
+
     with open(args.file, encoding="utf-8") as handle:
         g = parse_edge_list(handle.read())
     reduced = reduce_maxcut_to_exactcut(CutInstance(g, args.k))
@@ -363,6 +373,9 @@ def run_cli(argv=None) -> int:
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"balanceable: error: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
+    except MemoryError:
+        print(f"balanceable: error: out of memory running {args.command}", file=sys.stderr)
         return EXIT_PARAMS
 
 

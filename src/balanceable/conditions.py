@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, VertexSet, bipartition
 from .oracle import BudgetExceeded, DEFAULT_BUDGET, half_edge_targets, parity_obstruction
@@ -149,8 +149,7 @@ IMPLIES_NOT_BALANCEABLE = "implies-not-balanceable"
 INAPPLICABLE = "inapplicable"
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     condition: ConditionId
     outcome: str
     witness: VertexSet | None

@@ -18,7 +18,7 @@ A spec ``<family>:<params>`` names its builder by the family's key in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph
 
@@ -165,8 +165,7 @@ def antiprism(k: int) -> Graph:
     return circulant(2 * k, (1, 2))
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     """Parsed family request: the spec's family name and its builder's arguments."""
 
     kind: str

@@ -13,7 +13,6 @@ used as cache keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -160,18 +159,38 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of an immutable value type."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class VertexSet:
     """A subset of the vertices of a graph of order ``n``, as a bitmask."""
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, mask: int):
+        if n < 0:
             raise ValueError("owner size must be nonnegative")
-        if not 0 <= self.mask < 1 << self.n:
-            raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
+        if not 0 <= mask < 1 << n:
+            raise ValueError(f"mask {mask:#x} out of range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not VertexSet:
+            return NotImplemented
+        return self.n == other.n and self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
+
+    def __repr__(self) -> str:
+        return f"VertexSet(n={self.n!r}, mask={self.mask!r})"
+
+    def __reduce__(self):
+        return VertexSet, (self.n, self.mask)
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "VertexSet":

@@ -23,7 +23,7 @@ rather than returning a wrong answer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, VertexSet, e_cut, e_induced
 
@@ -131,8 +131,7 @@ class ObstructionKind(enum.Enum):
     BOTH = "Both"
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     kind: ObstructionKind
     detail: str
 
@@ -154,8 +153,7 @@ def parity_obstruction(g: Graph) -> Obstruction | None:
     )
 
 
-@dataclass(frozen=True)
-class BalanceWitness:
+class BalanceWitness(NamedTuple):
     """Certificate: a cut side and an induced set, with their edge counts."""
 
     cut_side: VertexSet
@@ -175,8 +173,7 @@ class BalanceWitness:
         )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str
     witness: BalanceWitness | None = None
     obstruction: Obstruction | None = None

@@ -18,9 +18,9 @@ vertices only within the cells of the colour-refined degree partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from .graphs import Graph
 from .oracle import half_edge_targets
@@ -35,8 +35,7 @@ __all__ = [
 BAL_ORDER_LIMIT = 7
 
 
-@dataclass(frozen=True)
-class BalancedCopy:
+class BalancedCopy(NamedTuple):
     """An embedding (indexed by the pattern's vertices) and its red count."""
 
     embedding: tuple[int, ...]

@@ -16,10 +16,9 @@ those value sets are memoized on the relabeled adjacency rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, format_edge_list, parse_edge_list
+from .graphs import Graph, _frozen, format_edge_list, parse_edge_list
 from .oracle import BudgetExceeded, DEFAULT_BUDGET, _scan
 
 __all__ = [
@@ -34,14 +33,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CutInstance:
-    graph: Graph
-    k: int
+    """A graph and a cut-size target ``k`` in ``0..m``."""
 
-    def __post_init__(self):
-        if not 0 <= self.k <= self.graph.m:
-            raise ValueError(f"target {self.k} outside 0..{self.graph.m}")
+    __slots__ = ("graph", "k")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, graph: Graph, k: int):
+        if not 0 <= k <= graph.m:
+            raise ValueError(f"target {k} outside 0..{graph.m}")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "k", k)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CutInstance:
+            return NotImplemented
+        return self.graph == other.graph and self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.k))
+
+    def __repr__(self) -> str:
+        return f"CutInstance(graph={self.graph!r}, k={self.k!r})"
+
+    def __reduce__(self):
+        return CutInstance, (self.graph, self.k)
 
 
 def reduce_maxcut_to_exactcut(inst: CutInstance) -> CutInstance:

@@ -18,10 +18,8 @@ or (for the one exceptional chorded cycle on 6 vertices with chord distance
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .conditions import bipartite_regular_4n
 from .families import FamilyParams, build_family, chorded_cycle, rect_grid, tri_grid, tri_vertex
 from .graphs import Graph, VertexSet, e_cut, e_induced
 from .oracle import (
@@ -48,8 +46,7 @@ class ConstructionBug(AssertionError):
     """A closed-form pattern failed its own verification."""
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     graph: Graph
     case_id: str
     verdict: Verdict
@@ -216,6 +213,9 @@ def _circulant_cases(g: Graph) -> ConstructionResult:
 
     if rem == 0:
         if ell % 2:
+            # only this case needs conditions; a CLI process loads it here
+            from .conditions import bipartite_regular_4n
+
             ind = bipartite_regular_4n(g)
             if ind is None:
                 raise ConstructionBug(f"0mod4-odd-chord: C_{{{k},{ell}}} not bipartite regular")

@@ -363,3 +363,72 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 0
+
+
+BASE = {"balanceable", "balanceable.cli", "balanceable.families", "balanceable.graphs", "balanceable.oracle"}
+LOADS = (
+    "import sys\n"
+    "from balanceable.cli import run_cli\n"
+    "code = run_cli(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('balanceable', 'dataclasses'))\n"
+    "print(code, *loaded, file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["classify", "cycle:12"], set()),
+        (["conditions", "wheel:6"], {"conditions"}),
+        (["witness", "chorded:38,8"], {"witnesses"}),
+        (["witness", "chorded:40,3"], {"witnesses", "conditions"}),
+        (["family-table", "--kmax", "6"], {"witnesses"}),
+        (["grid-table", "--tri", "3"], {"witnesses"}),
+        (["verify", "--kmax", "6"], {"witnesses"}),
+        (["bal", "--n", "5", "--graph", "path:2"], {"ramsey"}),
+        (["reduce", "EDGES", "--k", "1"], {"reduction"}),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
+    """A fresh process loads the package, ``cli``, ``families``, ``graphs``
+    and ``oracle``, plus the modules its command runs, and never
+    ``dataclasses``; the 0-mod-4 odd-chord case of ``witness`` alone needs
+    ``conditions``."""
+    edges = tmp_path / "g.txt"
+    edges.write_text(format_edge_list(cycle(4)), encoding="utf-8")
+    argv = [str(edges) if arg == "EDGES" else arg for arg in argv]
+    src = os.path.dirname(os.path.dirname(balanceable.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    assert "dataclasses" not in loaded
+    assert set(loaded) == BASE | {f"balanceable.{name}" for name in extra}
+
+
+@pytest.mark.parametrize(
+    "owner, name, argv",
+    [
+        ("balanceable.cli", "graph_from_spec", ["classify", "cycle:12"]),
+        ("balanceable.witnesses", "witness_for_spec", ["witness", "tri:17", "--json"]),
+    ],
+)
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys, owner, name, argv):
+    """A MemoryError raised by what a handler calls prints one stderr line
+    and exits 1; the builder is patched, so nothing large is allocated."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"{owner}.{name}", exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"balanceable: error: out of memory running {argv[0]}\n"
