@@ -12,7 +12,12 @@ Exit codes: 0 on success (also when the reader closes stdout early, which
 drops the rest of the output silently), 1 on parameter errors (bad specs,
 bad files, bad flag values), on running out of memory, and when ``verify``
 finds a construction that disagrees with the oracle, 2 when a search budget
-was exhausted before an answer was reached.
+was exhausted before an answer was reached, and 3 when a closed-form
+construction fails its own edge count (a ``ConstructionBug``, a defect of
+the library rather than of the input), reported as one stderr line
+``balanceable: internal error: <message>``.  A family spec of more than
+``families.ORDER_LIMIT`` vertices or ``families.EDGE_LIMIT`` edges is a
+parameter error, refused before its graph is built.
 
 Each command imports the modules it runs inside its handler, so a process
 loads ``families``, ``graphs`` and ``oracle`` plus only what its command
@@ -40,6 +45,7 @@ __all__ = ["run_cli", "main"]
 EXIT_OK = 0
 EXIT_PARAMS = 1
 EXIT_BUDGET = 2
+EXIT_DEFECT = 3
 
 REPORT_KEYS = (
     "input status obstruction detail case_id cut_side induced_set cut_edges "
@@ -374,6 +380,9 @@ def run_cli(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"balanceable: error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
+    except AssertionError as exc:  # a ConstructionBug, which cli does not import
+        print(f"balanceable: internal error: {exc}", file=sys.stderr)
+        return EXIT_DEFECT
     except MemoryError:
         print(f"balanceable: error: out of memory running {args.command}", file=sys.stderr)
         return EXIT_PARAMS

@@ -6,13 +6,18 @@ stored, whether it was built from edges or from rows.  A graph of at most
 when the row's vertex is adjacent to ``v``, the form the subset scans read.
 A larger graph stores one sorted tuple of neighbours per vertex, so
 building, counting and walking it take O(n + m) time and memory;
-``Graph.adj`` builds its rows on first use.  Graph and VertexSet are
-immutable value types, so they can be shared freely between threads and
-used as cache keys.
+``Graph.adj`` builds its rows on first use.  Built from edges, the tuples
+are collected and sorted per vertex; the family builders write them in
+closed form instead and hand them to ``Graph._from_neighbours``.  The
+counts and walks over wide vertex sets (``e_cut``, ``e_induced``,
+``_iter_bits``) run as ``map``, ``sum`` and ``compress`` chains, with no
+Python step per vertex.  Graph and VertexSet are immutable value types,
+so they can be shared freely between threads and used as cache keys.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -30,30 +35,33 @@ __all__ = [
 DENSE_LIMIT = 8192
 
 
+# bin()'s digits as the bytes 0 and 1, the selectors compress() reads
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _iter_bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, in ascending order.
 
     Two walks.  Clearing the lowest set bit costs one step per set bit, but
     each step rewrites the whole int, so on a wide mask it takes time
     proportional to width times set bits.  Writing the mask out once, lowest
-    bit first, as ``bin(mask)[:1:-1]`` and walking it with
-    ``str.find("1", i)`` takes time linear in the width.  The first walk is
-    kept for masks of at most 64 bits and for masks with at most 32 set bits
-    (the rows of sparse graphs, breadth-first layers), where it is the
-    faster of the two; the second takes wide dense masks such as witness
-    sets of large graphs.
+    bit first, as ``bin(mask)[:1:-1]`` and letting ``compress`` pick the
+    positions of its ones takes time linear in the width, with no Python
+    step per bit.  The first walk is kept for masks of at most 64 bits and
+    for masks with at most 32 set bits (the rows of sparse graphs,
+    breadth-first layers), where it is the faster of the two; the second
+    takes wide dense masks such as witness sets of large graphs.
     """
     if mask.bit_length() <= 64 or mask.bit_count() <= 32:
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-        return
-    bits = bin(mask)[:1:-1]
-    i = bits.find("1")
-    while i >= 0:
-        yield i
-        i = bits.find("1", i + 1)
+        return _lowest_bits(mask)
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGITS))
+
+
+def _lowest_bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _neighbour_tuples(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -94,6 +102,18 @@ class Graph:
             self._degrees = tuple(r.bit_count() for r in rows)
         self.n = n
         self.m = sum(self._degrees) // 2
+
+    @classmethod
+    def _from_neighbours(cls, nbrs: tuple[tuple[int, ...], ...]) -> "Graph":
+        """The graph of more than ``DENSE_LIMIT`` vertices whose sorted
+        neighbour tuples are ``nbrs``, stored as given and not checked: the
+        family builders write them in closed form."""
+        g = cls.__new__(cls)
+        g._rows, g._nbrs = None, nbrs
+        g._degrees = tuple(map(len, nbrs))
+        g.n = len(nbrs)
+        g.m = sum(g._degrees) // 2
+        return g
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "Graph":
@@ -228,7 +248,7 @@ def e_cut(g: Graph, x: VertexSet) -> int:
     """Number of edges with exactly one endpoint in ``x``: the degree sum
     of ``x`` counts each edge inside it twice."""
     _check_owner(g, x)
-    return sum(g.degree(v) for v in x) - 2 * e_induced(g, x)
+    return sum(map(g._degrees.__getitem__, x)) - 2 * e_induced(g, x)
 
 
 def e_induced(g: Graph, w: VertexSet) -> int:
@@ -236,7 +256,8 @@ def e_induced(g: Graph, w: VertexSet) -> int:
     _check_owner(g, w)
     if g._nbrs is not None:
         members = set(w)
-        return sum(len(members.intersection(g._nbrs[v])) for v in members) // 2
+        inside = map(members.intersection, map(g._nbrs.__getitem__, members))
+        return sum(map(len, inside)) // 2
     inside = w.mask
     adj = g._rows
     return sum((adj[v] & inside).bit_count() for v in _iter_bits(inside)) // 2

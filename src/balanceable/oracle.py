@@ -143,7 +143,7 @@ def parity_obstruction(g: Graph) -> Obstruction | None:
     e(G[X]) is even for every X.  With m even and m/2 odd, the half band
     is the single odd value m/2, so no cut attains it.
     """
-    if any(d % 2 for d in g.degrees()):
+    if any(map((1).__and__, g.degrees())):  # an odd degree
         return None
     if g.m % 2 or (g.m // 2) % 2 == 0:
         return None

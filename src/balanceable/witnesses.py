@@ -20,7 +20,15 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .families import FamilyParams, build_family, chorded_cycle, rect_grid, tri_grid, tri_vertex
+from .families import (
+    FamilyParams,
+    _refuse_oversized,
+    build_family,
+    chorded_cycle,
+    rect_grid,
+    tri_grid,
+    tri_vertex,
+)
 from .graphs import Graph, VertexSet, e_cut, e_induced
 from .oracle import (
     BalanceWitness,
@@ -415,9 +423,11 @@ def witness_for_spec(params: FamilyParams) -> ConstructionResult:
     """Dispatch a family request to the matching closed-form construction.
 
     Parameters are checked by the family's own builder, with its messages,
-    so every spec rejected here is rejected by ``build_family`` too.
+    and sizes as ``build_family`` checks them, so every spec rejected here
+    is rejected by ``build_family`` too.
     """
     kind, args = params.kind, params.args
+    _refuse_oversized(params)
     if kind == "grid":
         return rect_grid_witness(*args)
     if kind == "tri":

@@ -432,3 +432,56 @@ def test_out_of_memory_is_one_error_line(monkeypatch, capsys, owner, name, argv)
     assert code == 1
     assert out == ""
     assert err == f"balanceable: error: out of memory running {argv[0]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "chorded:38,8", "--json"],
+        ["witness", "grid:6x8"],
+        ["grid-table", "--tri", "9"],
+        ["family-table", "--kmax", "12", "--json"],
+    ],
+)
+def test_construction_bug_is_an_internal_error(monkeypatch, capsys, argv):
+    """A construction that fails its own edge count is a library defect:
+    one stderr line and exit 3, no traceback."""
+    from balanceable import witnesses
+
+    monkeypatch.setattr(witnesses, "e_cut", lambda g, x: -1)  # every cut miscounted
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("balanceable: internal error: ") and err.count("\n") == 1
+    assert "crosses -1, wanted" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "cycle:99999999999999999999"],
+        ["classify", "complete:3000", "--json"],
+        ["conditions", "tri:100000001"],
+        ["witness", "tri:100000001"],
+        ["witness", "grid:182x181", "--json"],
+        ["witness", "chorded:40002,7"],
+        ["bal", "--n", "5", "--graph", "path:99999999999"],
+    ],
+)
+def test_oversized_spec_is_refused_before_building(monkeypatch, capsys, argv):
+    """A spec over the size limit exits 1 with one error line; every
+    builder is patched to fail, so nothing is built."""
+    from balanceable import families, witnesses
+
+    def builder_called(*args):
+        raise AssertionError("builder called")
+
+    for kind in families._BUILDERS:
+        monkeypatch.setitem(families._BUILDERS, kind, builder_called)
+    for name in ("rect_grid", "tri_grid", "chorded_cycle"):
+        monkeypatch.setattr(witnesses, name, builder_called)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("balanceable: error: ") and err.count("\n") == 1
+    assert err.endswith("is over the limit of 32768 vertices and 131072 edges\n")

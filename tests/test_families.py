@@ -1,9 +1,12 @@
 import itertools
+import math
+import random
 
 import pytest
 
 from balanceable import (
     FamilyParams,
+    Graph,
     antiprism,
     build_family,
     chorded_cycle,
@@ -20,6 +23,8 @@ from balanceable import (
     tri_vertex,
     wheel,
 )
+from balanceable import families, graphs
+from balanceable.graphs import DENSE_LIMIT, _neighbour_tuples
 
 
 def test_cycle():
@@ -183,6 +188,9 @@ def test_tri_grid_matches_per_vertex_labels():
 def test_family_specs(spec, n, m):
     g = graph_from_spec(spec)
     assert (g.n, g.m) == (n, m)
+    params = parse_family_spec(spec)
+    order, edges = families._SIZES[params.kind](*params.args)  # the size check's arithmetic
+    assert order == n and edges >= m
 
 
 def test_build_family_matches_spec_parse():
@@ -239,3 +247,139 @@ def test_graph_from_spec_validates_parameters():
         graph_from_spec("circulant:10,0+2")
     with pytest.raises(ValueError):
         graph_from_spec("cycle:2")
+
+
+def closed_and_from_edges(monkeypatch, build):
+    """The family graph ``build()`` from its closed-form neighbour tuples,
+    and from the builder's own edge list through ``_neighbour_tuples``, at
+    any order: both stored as neighbour tuples."""
+    monkeypatch.setattr(graphs, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(families, "DENSE_LIMIT", 0)
+    closed = build()
+    monkeypatch.setattr(families, "DENSE_LIMIT", math.inf)
+    return closed, build()
+
+
+def assert_same_graph(closed, reference):
+    assert closed._nbrs is not None and reference._nbrs is not None
+    assert closed == reference and hash(closed) == hash(reference)
+    assert closed.degrees() == reference.degrees()
+    assert closed.n == reference.n and closed.m == reference.m
+    assert list(closed.edges()) == list(reference.edges())
+    for v in range(closed.n):
+        assert list(closed.neighbors(v)) == list(reference.neighbors(v)), v
+
+
+def test_circulant_closed_form_matches_its_edge_list(monkeypatch):
+    """Every step set of one to three steps for k <= 30, then seeded random
+    step sets for k up to 3,000."""
+    cases = [
+        (k, steps)
+        for k in range(1, 31)
+        for size in (1, 2, 3)
+        for steps in itertools.combinations(range(1, k // 2 + 1), size)
+    ]
+    rng = random.Random(22)
+    for _ in range(60):
+        k = rng.randrange(31, 3001)
+        cases.append((k, tuple(rng.sample(range(1, k // 2 + 1), rng.randrange(1, 6)))))
+    cases += [(k, (1,)) for k in (3, 4, 5, 2999)]  # cycles route through circulant
+    for k, steps in cases:
+        closed, reference = closed_and_from_edges(monkeypatch, lambda: circulant(k, steps))
+        assert_same_graph(closed, reference)
+    closed, reference = closed_and_from_edges(monkeypatch, lambda: cycle(31))
+    assert_same_graph(closed, reference)
+
+
+def test_rect_grid_closed_form_matches_its_edge_list(monkeypatch):
+    for rows in range(2, 31):
+        for cols in range(2, 31):
+            assert_same_graph(*closed_and_from_edges(monkeypatch, lambda: rect_grid(rows, cols)))
+
+
+def test_tri_grid_closed_form_matches_its_edge_list(monkeypatch):
+    for h in range(1, 61):
+        assert_same_graph(*closed_and_from_edges(monkeypatch, lambda: tri_grid(h)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cycle(DENSE_LIMIT + 1),
+        lambda: circulant(DENSE_LIMIT + 3, (1, 5, 9)),
+        lambda: circulant(DENSE_LIMIT + 4, (3, (DENSE_LIMIT + 4) // 2)),
+        lambda: circulant(DENSE_LIMIT + 1, ()),
+        lambda: chorded_cycle(DENSE_LIMIT + 2, 7),
+        lambda: moebius(DENSE_LIMIT + 2),
+        lambda: antiprism(DENSE_LIMIT // 2 + 1),
+        lambda: rect_grid(65, 127),
+        lambda: rect_grid(2, DENSE_LIMIT // 2 + 1),
+        lambda: rect_grid(DENSE_LIMIT // 2 + 1, 2),
+        lambda: tri_grid(128),
+    ],
+    ids=["cycle", "circulant", "circulant-half-step", "circulant-no-steps", "chorded", "moebius", "antiprism",
+         "grid", "grid-2-rows", "grid-2-cols", "tri"],
+)
+def test_closed_forms_just_above_the_dense_limit(monkeypatch, build):
+    """The public builders take their closed forms above DENSE_LIMIT, and
+    the graph equals the one built from their own edge lists."""
+    closed = build()
+    assert closed.n > DENSE_LIMIT
+    monkeypatch.setattr(families, "DENSE_LIMIT", closed.n)  # the edge list, through _neighbour_tuples
+    assert_same_graph(closed, build())
+
+
+def test_from_neighbours_stores_the_tuples_given():
+    nbrs = _neighbour_tuples(DENSE_LIMIT + 1, [(0, 1), (1, 2), (0, 2), (5, 9)])
+    g = Graph._from_neighbours(nbrs)
+    assert g._nbrs is nbrs and g._rows is None
+    assert (g.n, g.m) == (DENSE_LIMIT + 1, 4)
+    assert g.degrees()[:10] == (2, 2, 2, 0, 0, 1, 0, 0, 0, 1)
+
+
+# specs over ORDER_LIMIT vertices or EDGE_LIMIT edges, and specs at or near them
+OVERSIZED = [
+    "cycle:99999999999999999999",
+    "tri:100000001",
+    "tri:256",
+    "grid:182x181",
+    "complete:513",
+    "circulant:32768,1+2+3+4+5",
+    "chorded:32770,5",
+    "wheel:65536",
+    "antiprism:16385",
+]
+ADMITTED = [
+    "grid:150x150",
+    "tri:205",
+    "tri:255",
+    "chorded:20002,5001",
+    "complete:22",
+    "complete:512",
+    "cycle:32768",
+    "circulant:32768,1+2+3+4",
+]
+
+
+def refuse_to_build(monkeypatch):
+    """Make every builder fail if it is called."""
+
+    def builder_called(*args):
+        raise AssertionError("builder called")
+
+    for kind in families._BUILDERS:
+        monkeypatch.setitem(families._BUILDERS, kind, builder_called)
+
+
+@pytest.mark.parametrize("spec", OVERSIZED)
+def test_oversized_specs_are_refused_before_building(monkeypatch, spec):
+    refuse_to_build(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{spec.split(':')[0]} graph of .* is over the limit of "):
+        graph_from_spec(spec)
+
+
+@pytest.mark.parametrize("spec", ADMITTED)
+def test_specs_within_the_limits_reach_their_builder(monkeypatch, spec):
+    refuse_to_build(monkeypatch)
+    with pytest.raises(AssertionError, match="builder called"):
+        graph_from_spec(spec)

@@ -302,3 +302,16 @@ def test_large_witness_and_parity_paths_build_no_bitset_rows(run):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("spec", ["chorded:20002,5001", "grid:150x150", "tri:204"])
+def test_large_family_builds_stay_small(spec):
+    # the closed forms write neighbour tuples directly: no edge list, no
+    # per-vertex lists or sets
+    tracemalloc.start()
+    try:
+        graph_from_spec(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
