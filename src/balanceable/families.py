@@ -55,9 +55,7 @@ def cycle(k: int) -> Graph:
     """Cycle on ``k >= 3`` vertices."""
     if k < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {k}")
-    if k > DENSE_LIMIT:
-        return circulant(k, (1,))
-    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
+    return circulant(k, (1,))
 
 
 def path(edge_count: int) -> Graph:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, _frozen, format_edge_list, parse_edge_list
+from .graphs import Graph, _frozen, format_edge_list
 from .oracle import BudgetExceeded, DEFAULT_BUDGET, _scan
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "has_cut_exactly",
     "has_cut_at_least",
     "max_cut_value",
-    "parse_cut_instance",
     "format_cut_instance",
 ]
 
@@ -143,20 +142,3 @@ def max_cut_value(g: Graph, *, budget: int = DEFAULT_BUDGET) -> int:
 def format_cut_instance(inst: CutInstance) -> str:
     """Edge-list text with the cut target in a leading comment."""
     return f"# target {inst.k}\n{format_edge_list(inst.graph)}"
-
-
-def parse_cut_instance(text: str) -> CutInstance:
-    target = None
-    for line in text.splitlines():
-        token = line.strip()
-        if token.startswith("#") and token[1:].split()[:1] == ["target"]:
-            parts = token[1:].split()
-            if len(parts) != 2:
-                raise ValueError("target comment must be '# target <k>'")
-            try:
-                target = int(parts[1])
-            except ValueError:
-                raise ValueError(f"bad cut target {parts[1]!r}") from None
-    if target is None:
-        raise ValueError("no '# target <k>' line found")
-    return CutInstance(parse_edge_list(text), target)

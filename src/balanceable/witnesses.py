@@ -2,14 +2,18 @@
 
 Each public function dispatches on the arithmetic shape of its parameters
 (order mod 4, chord parity, grid parity, side length mod 8) to a hand-built
-vertex pattern, then re-verifies the pattern by direct edge counting before
+vertex pattern, then re-verifies the pattern by counting edges before
 returning it.  A pattern that fails verification raises ConstructionBug;
 that is a library defect, never a property of the input.
 
-Positive constructions come in two flavors:
+Positive constructions differ only in how they name their sets, and share
+one check, which counts each edge count once:
 
-* an independent set I with degree sum m/2 (then X = I, W = V minus I);
-* an explicit cut side X and induced set W built separately.
+* an independent set I with degree sum m/2 (then X = I, W = V minus I):
+  e_cut(I) is counted, and I is independent exactly when it equals I's
+  degree sum, so W induces the other m - e_cut(I) edges;
+* an explicit cut side X and induced set W built separately: e_cut(X) and
+  e(G[W]) are counted.
 
 Negative results carry the obstruction that blocks them: a parity argument,
 or (for the one exceptional chorded cycle on 6 vertices with chord distance
@@ -71,19 +75,19 @@ def _closed_neighborhood(k: int, ell: int, vertices: Iterable[int]) -> set[int]:
     return {(v + d) % k for v in vertices for d in (0, 1, -1, ell, -ell)}
 
 
-def _checked(
+def _result(
     g: Graph,
     case_id: str,
-    x: Iterable[int],
-    w: Iterable[int],
+    cut_side: VertexSet,
+    induced_set: VertexSet,
+    cut: int,
+    inside: int,
     notes: str,
     independent_set: VertexSet | None = None,
 ) -> ConstructionResult:
+    """The positive result for counts already taken, checked against the
+    half band; an independent set's cut must also take all its degrees."""
     lo, hi = half_edge_targets(g.m)
-    cut_side = VertexSet.from_indices(g.n, x)
-    induced_set = VertexSet.from_indices(g.n, w)
-    cut = e_cut(g, cut_side)
-    inside = e_induced(g, induced_set)
     if not lo <= cut <= hi:
         raise ConstructionBug(
             f"{case_id}: cut {sorted(cut_side.indices())} crosses {cut}, wanted {lo}..{hi}"
@@ -92,39 +96,32 @@ def _checked(
         raise ConstructionBug(
             f"{case_id}: set {sorted(induced_set.indices())} induces {inside}, wanted {lo}..{hi}"
         )
-    if independent_set is not None and e_induced(g, independent_set) != 0:
+    if independent_set is not None and cut != sum(map(g.degrees().__getitem__, independent_set)):
         raise ConstructionBug(
             f"{case_id}: {sorted(independent_set.indices())} is not independent"
         )
-    verdict = Verdict.balanceable(
-        BalanceWitness(
-            cut_side=cut_side,
-            induced_set=induced_set,
-            cut_edges=cut,
-            induced_edges=inside,
-        )
-    )
-    return ConstructionResult(
-        graph=g,
-        case_id=case_id,
-        verdict=verdict,
-        independent_set=independent_set,
-        notes=notes,
-    )
+    witness = BalanceWitness(cut_side, induced_set, cut, inside)
+    return ConstructionResult(g, case_id, Verdict.balanceable(witness), independent_set, notes)
+
+
+def _checked(
+    g: Graph, case_id: str, x: Iterable[int], w: Iterable[int], notes: str
+) -> ConstructionResult:
+    cut_side = VertexSet.from_indices(g.n, x)
+    induced_set = VertexSet.from_indices(g.n, w)
+    cut = e_cut(g, cut_side)
+    return _result(g, case_id, cut_side, induced_set, cut, e_induced(g, induced_set), notes)
 
 
 def _via_independent_set(
     g: Graph, case_id: str, indices: Iterable[int], notes: str
 ) -> ConstructionResult:
+    """X = I and W = V minus I.  The cut e_cut(I) is I's degree sum less
+    twice e(G[I]), so it equals the degree sum exactly when I is
+    independent, and then W keeps the other m - e_cut(I) edges."""
     ind = VertexSet.from_indices(g.n, indices)
-    return _checked(
-        g,
-        case_id,
-        ind.indices(),
-        ind.complement().indices(),
-        notes,
-        independent_set=ind,
-    )
+    cut = e_cut(g, ind)
+    return _result(g, case_id, ind, ind.complement(), cut, g.m - cut, notes, ind)
 
 
 def _obstructed(
@@ -221,16 +218,11 @@ def _circulant_cases(g: Graph) -> ConstructionResult:
 
     if rem == 0:
         if ell % 2:
-            # only this case needs conditions; a CLI process loads it here
-            from .conditions import bipartite_regular_4n
-
-            ind = bipartite_regular_4n(g)
-            if ind is None:
-                raise ConstructionBug(f"0mod4-odd-chord: C_{{{k},{ell}}} not bipartite regular")
+            # both steps are odd, so the evens form vertex 0's bipartition class
             return _via_independent_set(
                 g,
                 "0mod4-odd-chord",
-                ind.indices(),
+                range(0, 2 * a, 2),
                 f"{a} vertices of one bipartition class",
             )
         b = ell // 2

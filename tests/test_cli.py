@@ -382,7 +382,7 @@ LOADS = (
         (["classify", "cycle:12"], set()),
         (["conditions", "wheel:6"], {"conditions"}),
         (["witness", "chorded:38,8"], {"witnesses"}),
-        (["witness", "chorded:40,3"], {"witnesses", "conditions"}),
+        (["witness", "chorded:40,3"], {"witnesses"}),
         (["family-table", "--kmax", "6"], {"witnesses"}),
         (["grid-table", "--tri", "3"], {"witnesses"}),
         (["verify", "--kmax", "6"], {"witnesses"}),
@@ -394,8 +394,8 @@ LOADS = (
 def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
     """A fresh process loads the package, ``cli``, ``families``, ``graphs``
     and ``oracle``, plus the modules its command runs, and never
-    ``dataclasses``; the 0-mod-4 odd-chord case of ``witness`` alone needs
-    ``conditions``."""
+    ``dataclasses``; every ``witness`` case, the 0-mod-4 odd chord among
+    them, needs ``witnesses`` alone."""
     edges = tmp_path / "g.txt"
     edges.write_text(format_edge_list(cycle(4)), encoding="utf-8")
     argv = [str(edges) if arg == "EDGES" else arg for arg in argv]

@@ -16,7 +16,7 @@ from balanceable import (
     has_cut_at_least,
     has_cut_exactly,
     max_cut_value,
-    parse_cut_instance,
+    parse_edge_list,
     reduce_maxcut_to_exactcut,
     star,
 )
@@ -128,16 +128,11 @@ def test_exactly_implies_at_least():
 
 
 def test_format_and_parse_round_trip():
+    """The cut-instance text is the edge-list text under a target comment."""
     inst = CutInstance(cycle(4), 3)
     text = format_cut_instance(inst)
-    back = parse_cut_instance(text)
-    assert back.graph == inst.graph
-    assert back.k == inst.k
-
-
-def test_parse_requires_target():
-    with pytest.raises(ValueError):
-        parse_cut_instance("3 1\n0 1\n")
+    assert text.startswith("# target 3\n")
+    assert parse_edge_list(text) == inst.graph
 
 
 def _largest_component(g):

@@ -1,8 +1,10 @@
 import pytest
 
 from balanceable import (
+    bipartite_regular_4n,
     chorded_cycle,
     circulant_witness,
+    cycle,
     decide_balanceable,
     e_cut,
     e_induced,
@@ -15,7 +17,7 @@ from balanceable import (
     tri_vertex,
     witness_for_spec,
 )
-from balanceable.witnesses import _spread_runs
+from balanceable.witnesses import ConstructionBug, _spread_runs, _via_independent_set
 
 
 def check_result(result):
@@ -62,6 +64,25 @@ def test_ell_above_half_mirrors():
     b = circulant_witness(12, 3)
     assert a.case_id == b.case_id
     assert a.verdict.witness.cut_side == b.verdict.witness.cut_side
+
+
+def test_odd_chord_set_is_the_bipartition_class():
+    """The 0-mod-4 odd-chord set, named in closed form, is the one the
+    bipartite regular shortcut finds by walking the graph."""
+    cases = [(k, ell) for k in range(8, 201, 4) for ell in range(3, k - 1, 2)]
+    for k, ell in cases + [(20000, 5001)]:
+        r = circulant_witness(k, ell)
+        assert r.case_id == "0mod4-odd-chord", (k, ell)
+        assert r.independent_set == bipartite_regular_4n(r.graph), (k, ell)
+
+
+def test_via_independent_set_refuses_a_bad_set():
+    g = cycle(8)  # 8 edges, so the band is 4..4
+    with pytest.raises(ConstructionBug, match=r"^t: \[0, 1, 4\] is not independent$"):
+        _via_independent_set(g, "t", [0, 1, 4], "")  # cut 4, but the edge 01 inside
+    with pytest.raises(ConstructionBug, match=r"^t: cut \[0\] crosses 2, wanted 4\.\.4$"):
+        _via_independent_set(g, "t", [0], "")
+    assert _via_independent_set(g, "t", [0, 4], "").verdict.witness.induced_edges == 4
 
 
 def test_spread_runs_reference_patterns():
