@@ -17,7 +17,8 @@ construction fails its own edge count (a ``ConstructionBug``, a defect of
 the library rather than of the input), reported as one stderr line
 ``balanceable: internal error: <message>``.  A family spec of more than
 ``families.ORDER_LIMIT`` vertices or ``families.EDGE_LIMIT`` edges is a
-parameter error, refused before its graph is built.
+parameter error, refused before its graph is built, and so is a sweep
+(``family-table``, ``verify``, ``grid-table``) whose largest graph is.
 
 Each command imports the modules it runs inside its handler, so a process
 loads ``families``, ``graphs`` and ``oracle`` plus only what its command
@@ -33,7 +34,7 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from .families import graph_from_spec, parse_family_spec
+from .families import FamilyParams, _refuse_oversized, graph_from_spec, parse_family_spec
 from .graphs import Graph, VertexSet, parse_edge_list
 from .oracle import BudgetExceeded, Verdict, decide_balanceable
 
@@ -183,11 +184,13 @@ def _summary(result: ConstructionResult) -> tuple:
 
 def _chorded_sweep(kmax: int):
     """(k, ell, circulant_witness(k, ell)) for 4 <= k <= kmax and
-    2 <= ell <= k/2, built lazily; a kmax below 4 is refused at once."""
+    2 <= ell <= k/2, built lazily; a kmax below 4, or one whose largest
+    graph is over the size limit, is refused at once."""
     from .witnesses import circulant_witness
 
     if kmax < 4:
         raise ValueError("kmax must be at least 4")
+    _refuse_oversized(FamilyParams("chorded", (kmax, 2)))
     return (
         (k, ell, circulant_witness(k, ell))
         for k in range(4, kmax + 1)
@@ -207,6 +210,7 @@ def _cmd_grid_table(args) -> int:
     if args.rect is not None:
         if args.rect < 2:
             raise ValueError("kmax must be at least 2")
+        _refuse_oversized(FamilyParams("grid", (args.rect, args.rect)))
         rows = [
             (k, ell, *_summary(rect_grid_witness(k, ell))[:3])
             for k in range(2, args.rect + 1)
@@ -216,6 +220,8 @@ def _cmd_grid_table(args) -> int:
         return EXIT_OK
     if args.tri < 1:
         raise ValueError("hmax must be at least 1")
+    # refused here: the loop below would read the ValueError as OddEdges
+    _refuse_oversized(FamilyParams("tri", (args.tri,)))
     rows = []
     for h in range(1, args.tri + 1):
         try:

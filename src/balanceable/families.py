@@ -16,20 +16,21 @@ A spec ``<family>:<params>`` names its builder by the family's key in
 ``rect_grid(4, 8)``.  ``build_family`` refuses a spec over ``ORDER_LIMIT``
 vertices or ``EDGE_LIMIT`` edges from its arithmetic, before building.
 
-Every builder lists its edges, and ``Graph`` stores them as bitset rows,
-up to ``DENSE_LIMIT`` vertices.  Above it, cycles, circulants (and so
-chorded cycles, Moebius ladders and antiprisms), rectangular grids and
-triangular grids take their sorted neighbour tuples in closed form from
-``_large_families``, with no edge list and no sort, and load that module
-only then.  Small graphs keep the edge path, where building rows from the
-tuples measured about twice as slow.
+Cycles, circulants (and so chorded cycles, Moebius ladders and antiprisms),
+rectangular grids and triangular grids have one build path at every order:
+their sorted neighbour tuples, written in closed form with no edge list and
+no sort, go to ``Graph._from_neighbours``, and ``graphs`` decides how they
+are stored.  Each table is written as zips of ``range`` columns: one Python
+step per row of the grid or per run of vertices with the same offsets, none
+per vertex or edge.  The other families list their edges.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
-from .graphs import DENSE_LIMIT, Graph
+from .graphs import Graph
 
 __all__ = [
     "FamilyParams",
@@ -102,11 +103,28 @@ def circulant(k: int, steps: tuple[int, ...]) -> Graph:
         if j in seen:
             raise ValueError(f"duplicate step {j}")
         seen.add(j)
-    if k > DENSE_LIMIT:
-        from ._large_families import circulant_neighbours
+    return Graph._from_neighbours(_circulant_neighbours(k, steps))
 
-        return Graph._from_neighbours(circulant_neighbours(k, steps))
-    return Graph(k, [(i, (i + j) % k) for j in steps for i in range(k)])
+
+def _circulant_neighbours(k: int, steps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples of ``circulant(k, steps)``, in closed form.
+
+    With D the sorted residues of the steps and their negatives mod k,
+    vertex i's neighbours are i + d - k for the d >= k - i, then i + d for
+    the rest.  The vertices with t wrapped offsets form one run of i, so
+    each column of the table is a chain of |D| + 1 ranges, and zip writes
+    the rows in C.
+    """
+    d = sorted({j % k for step in steps for j in (step, -step)})
+    if not d:
+        return ((),) * k
+    cuts = [0, *(k - x for x in reversed(d)), k]
+    runs = [
+        (cuts[t], cuts[t + 1], [x - k for x in d[len(d) - t :]] + d[: len(d) - t])
+        for t in range(len(d) + 1)
+    ]
+    columns = [chain(*[range(lo + ds[c], hi + ds[c]) for lo, hi, ds in runs]) for c in range(len(d))]
+    return tuple(zip(*columns))
 
 
 def chorded_cycle(k: int, ell: int) -> Graph:
@@ -128,19 +146,27 @@ def rect_grid(rows: int, cols: int) -> Graph:
     """Rectangular grid, ``rows x cols`` vertices, row-major labels."""
     if rows < 2 or cols < 2:
         raise ValueError("grid sides must be at least 2")
-    if rows * cols > DENSE_LIMIT:
-        from ._large_families import grid_neighbours
+    return Graph._from_neighbours(_grid_neighbours(rows, cols))
 
-        return Graph._from_neighbours(grid_neighbours(rows, cols))
-    edges = []
+
+def _append_row(nbrs: list, first: int, last: int, head: tuple, inner: tuple, tail: tuple) -> None:
+    """Append the neighbour tuples of a row of vertices ``first..last``, two
+    or more: vertex v's are v + d for the sorted offsets d in ``head`` (the
+    first vertex), ``tail`` (the last) or ``inner`` (the rest, zipped from
+    one range per offset)."""
+    nbrs.append(tuple(first + d for d in head))
+    nbrs.extend(zip(*[range(first + 1 + d, last + d) for d in inner]))
+    nbrs.append(tuple(last + d for d in tail))
+
+
+def _grid_neighbours(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples of ``rect_grid(rows, cols)``, row by row."""
+    nbrs: list = []
     for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return Graph(rows * cols, edges)
+        up, down = (-cols,) * (r > 0), (cols,) * (r < rows - 1)
+        head, inner, tail = up + (1,) + down, up + (-1, 1) + down, up + (-1,) + down
+        _append_row(nbrs, r * cols, r * cols + cols - 1, head, inner, tail)
+    return tuple(nbrs)
 
 
 def tri_vertex(row: int, pos: int) -> int:
@@ -158,18 +184,19 @@ def tri_grid(h: int) -> Graph:
     """
     if h < 1:
         raise ValueError("side length must be positive")
-    if h * (h + 1) // 2 > DENSE_LIMIT:
-        from ._large_families import tri_neighbours
+    return Graph._from_neighbours(_tri_neighbours(h))
 
-        return Graph._from_neighbours(tri_neighbours(h))
-    edges = []
-    for row in range(1, h + 1):
-        labels = range(tri_vertex(row, 1), tri_vertex(row + 1, 1))
-        edges += [(v, v + 1) for v in labels[:-1]]
-        if row < h:  # v = (row, pos) lies above (row + 1, pos) = v + row and v + row + 1
-            edges += [(v, v + row) for v in labels]
-            edges += [(v, v + row + 1) for v in labels]
-    return Graph(h * (h + 1) // 2, edges)
+
+def _tri_neighbours(h: int) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples of ``tri_grid(h)``, row by row: vertex v of
+    row j has v - j and v - j + 1 above it and v + j and v + j + 1 below."""
+    nbrs: list = [(1, 2) if h > 1 else ()]  # the apex
+    for j in range(2, h + 1):
+        below = (j, j + 1) if j < h else ()
+        head, inner, tail = (1 - j, 1) + below, (-j, 1 - j, -1, 1) + below, (-j, -1) + below
+        first = j * (j - 1) // 2
+        _append_row(nbrs, first, first + j - 1, head, inner, tail)
+    return tuple(nbrs)
 
 
 def moebius(n: int) -> Graph:

@@ -1,22 +1,24 @@
 """Graphs and vertex sets, and the edge-counting primitives everything else uses.
 
-Vertices are integers ``0..n-1``.  The order alone picks how a graph is
-stored, whether it was built from edges or from rows.  A graph of at most
+Vertices are integers ``0..n-1``.  This module alone decides how a graph is
+stored, and the order alone decides it, however the graph was built: from
+edges, from rows, or from the neighbour tuples the family builders write in
+closed form (``Graph._from_neighbours``).  A graph of at most
 ``DENSE_LIMIT`` vertices stores one Python int per vertex with bit ``v`` set
 when the row's vertex is adjacent to ``v``, the form the subset scans read.
 A larger graph stores one sorted tuple of neighbours per vertex, so
 building, counting and walking it take O(n + m) time and memory;
 ``Graph.adj`` builds its rows on first use.  Built from edges, the tuples
-are collected and sorted per vertex; the family builders write them in
-closed form instead and hand them to ``Graph._from_neighbours``.  The
-counts and walks over wide vertex sets (``e_cut``, ``e_induced``,
-``_iter_bits``) run as ``map``, ``sum`` and ``compress`` chains, with no
-Python step per vertex.  Graph and VertexSet are immutable value types,
-so they can be shared freely between threads and used as cache keys.
+are collected and sorted per vertex.  The counts and walks over wide vertex
+sets (``e_cut``, ``e_induced``, ``_iter_bits``) run as ``map``, ``sum`` and
+``compress`` chains, with no Python step per vertex.  Graph and VertexSet
+are immutable value types, so they can be shared freely between threads and
+used as cache keys.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import compress, count
 from typing import Iterable, Iterator
 
@@ -78,6 +80,13 @@ def _neighbour_tuples(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[i
     return tuple(map(tuple, map(sorted, map(set, nbrs))))
 
 
+def _rows_of(nbrs: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Bitset rows of the graph with these neighbour tuples, ORed together
+    by ``sum`` over each tuple's powers of two, with no Python step per
+    vertex or edge."""
+    return tuple(map(sum, map(partial(map, (1).__lshift__), nbrs)))
+
+
 class Graph:
     """Simple undirected graph over vertices ``0..n-1``."""
 
@@ -105,11 +114,15 @@ class Graph:
 
     @classmethod
     def _from_neighbours(cls, nbrs: tuple[tuple[int, ...], ...]) -> "Graph":
-        """The graph of more than ``DENSE_LIMIT`` vertices whose sorted
-        neighbour tuples are ``nbrs``, stored as given and not checked: the
-        family builders write them in closed form."""
+        """The graph whose sorted neighbour tuples are ``nbrs``, not checked:
+        the family builders write them in closed form.  Stored by its order
+        as ``Graph(n, edges)`` stores it: above ``DENSE_LIMIT`` the tuples
+        are kept as given, else they become bitset rows."""
         g = cls.__new__(cls)
-        g._rows, g._nbrs = None, nbrs
+        if len(nbrs) > DENSE_LIMIT:
+            g._rows, g._nbrs = None, nbrs
+        else:
+            g._rows, g._nbrs = _rows_of(nbrs), None
         g._degrees = tuple(map(len, nbrs))
         g.n = len(nbrs)
         g.m = sum(g._degrees) // 2
@@ -139,7 +152,7 @@ class Graph:
         """One int per vertex with bit ``v`` set for each neighbour ``v``;
         a graph stored as neighbour tuples builds them on first use."""
         if self._rows is None:
-            self._rows = tuple(sum(1 << v for v in nbrs) for nbrs in self._nbrs)
+            self._rows = _rows_of(self._nbrs)
         return self._rows
 
     def degree(self, v: int) -> int:

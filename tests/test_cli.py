@@ -485,3 +485,54 @@ def test_oversized_spec_is_refused_before_building(monkeypatch, capsys, argv):
     assert out == ""
     assert err.startswith("balanceable: error: ") and err.count("\n") == 1
     assert err.endswith("is over the limit of 32768 vertices and 131072 edges\n")
+
+
+class Built(Exception):
+    """Raised by a patched witness builder: a sweep got past its size check."""
+
+
+def patch_sweep_builders(monkeypatch):
+    from balanceable import witnesses
+
+    def builder_called(*args):
+        raise Built(args)
+
+    for name in ("circulant_witness", "rect_grid_witness", "tri_grid_witness"):
+        monkeypatch.setattr(witnesses, name, builder_called)
+
+
+@pytest.mark.parametrize(
+    "argv, largest",
+    [
+        (["family-table", "--kmax", "99999999999999999999999"], "chorded graph of 99999999999999999999999 vertices"),
+        (["verify", "--kmax", "32769", "--json"], "chorded graph of 32769 vertices"),
+        (["grid-table", "--rect", "182"], "grid graph of 33124 vertices"),
+        (["grid-table", "--tri", "256", "--json"], "tri graph of 32896 vertices"),
+    ],
+)
+def test_oversized_sweep_is_refused_before_building(monkeypatch, capsys, argv, largest):
+    """A sweep whose largest graph is over the size limit is refused as
+    that graph's spec would be, before any witness is built."""
+    patch_sweep_builders(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"balanceable: error: {largest} and up to ") and err.count("\n") == 1
+    assert err.endswith("is over the limit of 32768 vertices and 131072 edges\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family-table", "--kmax", "32768"],
+        ["verify", "--kmax", "32768"],
+        ["grid-table", "--rect", "181"],
+        ["grid-table", "--tri", "255"],
+    ],
+)
+def test_sweep_at_the_size_limit_starts_building(monkeypatch, argv):
+    """A sweep whose largest graph is at the limit passes the check and
+    reaches its first witness, which the patched builder stops."""
+    patch_sweep_builders(monkeypatch)
+    with pytest.raises(Built):
+        run_cli(argv)

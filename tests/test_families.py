@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -249,25 +248,62 @@ def test_graph_from_spec_validates_parameters():
         graph_from_spec("cycle:2")
 
 
-def closed_and_from_edges(monkeypatch, build):
-    """The family graph ``build()`` from its closed-form neighbour tuples,
-    and from the builder's own edge list through ``_neighbour_tuples``, at
-    any order: both stored as neighbour tuples."""
-    monkeypatch.setattr(graphs, "DENSE_LIMIT", 0)
-    monkeypatch.setattr(families, "DENSE_LIMIT", 0)
-    closed = build()
-    monkeypatch.setattr(families, "DENSE_LIMIT", math.inf)
-    return closed, build()
+def circulant_edges(k, steps):
+    """Reference edges of ``circulant(k, steps)``: i ~ i + j (mod k) for
+    every step j."""
+    return [(i, (i + j) % k) for j in steps for i in range(k)]
+
+
+def grid_edges(rows, cols):
+    """Reference edges of ``rect_grid(rows, cols)``, row-major: each vertex
+    to its right and lower neighbours."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return edges
+
+
+def tri_edges(h):
+    """Reference edges of ``tri_grid(h)`` by ``tri_vertex``: each vertex to
+    its right neighbour in its row and to the two vertices below it."""
+    edges = []
+    for row in range(1, h + 1):
+        for pos in range(1, row + 1):
+            v = tri_vertex(row, pos)
+            if pos < row:
+                edges.append((v, tri_vertex(row, pos + 1)))
+            if row < h:
+                edges += [(v, tri_vertex(row + 1, pos)), (v, tri_vertex(row + 1, pos + 1))]
+    return edges
 
 
 def assert_same_graph(closed, reference):
-    assert closed._nbrs is not None and reference._nbrs is not None
+    assert (closed._rows, closed._nbrs) == (reference._rows, reference._nbrs)
     assert closed == reference and hash(closed) == hash(reference)
     assert closed.degrees() == reference.degrees()
     assert closed.n == reference.n and closed.m == reference.m
     assert list(closed.edges()) == list(reference.edges())
     for v in range(closed.n):
         assert list(closed.neighbors(v)) == list(reference.neighbors(v)), v
+
+
+def assert_matches_edges(monkeypatch, build, n, edges):
+    """The family graph ``build()`` equals ``Graph(n, edges)`` at its natural
+    order, stored as rows, and stored as neighbour tuples with the stored-form
+    threshold of ``graphs`` at 0."""
+    closed, reference = build(), Graph(n, edges)
+    assert closed._rows is not None
+    assert_same_graph(closed, reference)
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "DENSE_LIMIT", 0)
+        closed, reference = build(), Graph(n, edges)
+        assert closed._nbrs is not None
+        assert_same_graph(closed, reference)
 
 
 def test_circulant_closed_form_matches_its_edge_list(monkeypatch):
@@ -285,56 +321,64 @@ def test_circulant_closed_form_matches_its_edge_list(monkeypatch):
         cases.append((k, tuple(rng.sample(range(1, k // 2 + 1), rng.randrange(1, 6)))))
     cases += [(k, (1,)) for k in (3, 4, 5, 2999)]  # cycles route through circulant
     for k, steps in cases:
-        closed, reference = closed_and_from_edges(monkeypatch, lambda: circulant(k, steps))
-        assert_same_graph(closed, reference)
-    closed, reference = closed_and_from_edges(monkeypatch, lambda: cycle(31))
-    assert_same_graph(closed, reference)
+        assert_matches_edges(monkeypatch, lambda: circulant(k, steps), k, circulant_edges(k, steps))
+    assert_matches_edges(monkeypatch, lambda: cycle(31), 31, circulant_edges(31, (1,)))
 
 
 def test_rect_grid_closed_form_matches_its_edge_list(monkeypatch):
     for rows in range(2, 31):
         for cols in range(2, 31):
-            assert_same_graph(*closed_and_from_edges(monkeypatch, lambda: rect_grid(rows, cols)))
+            assert_matches_edges(monkeypatch, lambda: rect_grid(rows, cols), rows * cols, grid_edges(rows, cols))
 
 
 def test_tri_grid_closed_form_matches_its_edge_list(monkeypatch):
     for h in range(1, 61):
-        assert_same_graph(*closed_and_from_edges(monkeypatch, lambda: tri_grid(h)))
+        assert_matches_edges(monkeypatch, lambda: tri_grid(h), h * (h + 1) // 2, tri_edges(h))
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, edges",
     [
-        lambda: cycle(DENSE_LIMIT + 1),
-        lambda: circulant(DENSE_LIMIT + 3, (1, 5, 9)),
-        lambda: circulant(DENSE_LIMIT + 4, (3, (DENSE_LIMIT + 4) // 2)),
-        lambda: circulant(DENSE_LIMIT + 1, ()),
-        lambda: chorded_cycle(DENSE_LIMIT + 2, 7),
-        lambda: moebius(DENSE_LIMIT + 2),
-        lambda: antiprism(DENSE_LIMIT // 2 + 1),
-        lambda: rect_grid(65, 127),
-        lambda: rect_grid(2, DENSE_LIMIT // 2 + 1),
-        lambda: rect_grid(DENSE_LIMIT // 2 + 1, 2),
-        lambda: tri_grid(128),
+        (lambda: cycle(DENSE_LIMIT + 1), lambda n: circulant_edges(n, (1,))),
+        (lambda: circulant(DENSE_LIMIT + 3, (1, 5, 9)), lambda n: circulant_edges(n, (1, 5, 9))),
+        (lambda: circulant(DENSE_LIMIT + 4, (3, (DENSE_LIMIT + 4) // 2)), lambda n: circulant_edges(n, (3, n // 2))),
+        (lambda: circulant(DENSE_LIMIT + 1, ()), lambda n: []),
+        (lambda: chorded_cycle(DENSE_LIMIT + 2, 7), lambda n: circulant_edges(n, (1, 7))),
+        (lambda: moebius(DENSE_LIMIT + 2), lambda n: circulant_edges(n, (1, n // 2))),
+        (lambda: antiprism(DENSE_LIMIT // 2 + 1), lambda n: circulant_edges(n, (1, 2))),
+        (lambda: rect_grid(65, 127), lambda n: grid_edges(65, 127)),
+        (lambda: rect_grid(2, DENSE_LIMIT // 2 + 1), lambda n: grid_edges(2, n // 2)),
+        (lambda: rect_grid(DENSE_LIMIT // 2 + 1, 2), lambda n: grid_edges(n // 2, 2)),
+        (lambda: tri_grid(128), lambda n: tri_edges(128)),
     ],
     ids=["cycle", "circulant", "circulant-half-step", "circulant-no-steps", "chorded", "moebius", "antiprism",
          "grid", "grid-2-rows", "grid-2-cols", "tri"],
 )
-def test_closed_forms_just_above_the_dense_limit(monkeypatch, build):
-    """The public builders take their closed forms above DENSE_LIMIT, and
-    the graph equals the one built from their own edge lists."""
+def test_closed_forms_just_above_the_dense_limit(monkeypatch, build, edges):
+    """Above DENSE_LIMIT the public builders keep their closed-form tuples,
+    and the graph equals the one built from the reference edge list, as
+    tuples at its natural order and as rows with the threshold raised."""
     closed = build()
-    assert closed.n > DENSE_LIMIT
-    monkeypatch.setattr(families, "DENSE_LIMIT", closed.n)  # the edge list, through _neighbour_tuples
-    assert_same_graph(closed, build())
+    assert closed.n > DENSE_LIMIT and closed._rows is None
+    reference = edges(closed.n)
+    assert_same_graph(closed, Graph(closed.n, reference))
+    monkeypatch.setattr(graphs, "DENSE_LIMIT", closed.n)
+    assert_same_graph(build(), Graph(closed.n, reference))
 
 
 def test_from_neighbours_stores_the_tuples_given():
-    nbrs = _neighbour_tuples(DENSE_LIMIT + 1, [(0, 1), (1, 2), (0, 2), (5, 9)])
+    edges = [(0, 1), (1, 2), (0, 2), (5, 9)]
+    nbrs = _neighbour_tuples(DENSE_LIMIT + 1, edges)
     g = Graph._from_neighbours(nbrs)
     assert g._nbrs is nbrs and g._rows is None
     assert (g.n, g.m) == (DENSE_LIMIT + 1, 4)
     assert g.degrees()[:10] == (2, 2, 2, 0, 0, 1, 0, 0, 0, 1)
+    # at or below the limit the tuples become the rows Graph(n, edges) stores
+    for n in (10, DENSE_LIMIT):
+        g, reference = Graph._from_neighbours(_neighbour_tuples(n, edges)), Graph(n, edges)
+        assert g._nbrs is None and g._rows == reference._rows
+        assert g == reference and hash(g) == hash(reference)
+        assert (g.n, g.m, g.degrees()) == (reference.n, reference.m, reference.degrees())
 
 
 # specs over ORDER_LIMIT vertices or EDGE_LIMIT edges, and specs at or near them
